@@ -18,21 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, rgamma
+from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError
-
-
-def _clog(s):
-    return cmath.log(s) if isinstance(s, complex) else math.log(s)
-
-
-def _cexp(w):
-    if isinstance(w, complex):
-        return cmath.exp(w)
-    return math.exp(w) if w > -745.0 else 0.0
 from .special import (
     _DEFAULT_CONTROL,
+    _asymptotic_series,
     _effective_switch,
     ml_waiting_survival,
     prabhakar,
@@ -60,6 +51,16 @@ __all__ = [
     "fpp_pmf_table",
     "general_pmf_table",
 ]
+
+
+def _clog(s):
+    return cmath.log(s) if isinstance(s, complex) else math.log(s)
+
+
+def _cexp(w):
+    if isinstance(w, complex):
+        return cmath.exp(w)
+    return math.exp(w) if w > -745.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -151,34 +152,8 @@ def _pmf_far_tail(beta, z, n):
         raise EvaluationError(
             f"count n={n} too large relative to z={z} for the far-tail expansion"
         )
-    lz = math.log(z)
-    ks = np.arange(300.0)
-    y = 1.0 - beta * (ks + 1.0)
-    # |1/Gamma(y)| <= Gamma(1-y)/pi for y < 1/2 (reflection, |sin| <= 1)
-    env = np.where(
-        y >= 0.5,
-        -gammaln(np.maximum(y, 0.5)),
-        gammaln(1.0 - np.minimum(y, 0.5)) - math.log(math.pi),
-    )
-    ln_env = (
-        gammaln(n + 1.0 + ks) - gammaln(n + 1.0) - gammaln(ks + 1.0)
-        - (ks + 1.0) * lz + env
-    )
-    kstar = int(np.argmin(ln_env))
-    deep = np.nonzero(ln_env < math.log(1e-18))[0]
-    if deep.size:
-        kstar = min(kstar, int(deep[0]))
-    terms = [
-        (-1.0) ** k
-        * math.exp(
-            gammaln(n + 1.0 + k) - gammaln(n + 1.0) - gammaln(k + 1.0)
-            - (k + 1.0) * lz
-        )
-        * rgamma(1.0 - beta * (k + 1.0))
-        for k in range(kstar + 1)
-    ]
-    total = math.fsum(terms)
-    floor = math.exp(float(np.min(ln_env)))
+    total, ln_floor = _asymptotic_series(n + 1.0, 1.0, beta, 1.0, math.log(z), 300)
+    floor = math.exp(ln_floor)
     if floor > max(1e-10, 1e-6 * abs(total)):
         raise EvaluationError(
             f"far-tail truncation floor {floor:.2e} too large at z={z}, n={n}",

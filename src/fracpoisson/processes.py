@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .samplers import RngStream, _generator, sample_ml_waiting, _increments
-from .transforms import JumpDist, spec_to_json
+from .samplers import RngStream, _generator, sample_ml_waiting
+from .transforms import JumpDist, _require_spec, spec_to_json
 
 __all__ = [
     "RenewalPath",
@@ -137,6 +137,15 @@ class GridPath:
 # renewal simulation
 # ---------------------------------------------------------------------------
 
+def _next_jump(prev, t):
+    """Jump time t, or the next float above prev when t <= prev.
+
+    A wait below the float spacing near prev is lost when added to it;
+    the bump keeps jump times strictly increasing.
+    """
+    return t if t > prev else math.nextafter(prev, math.inf)
+
+
 def simulate_fpp(beta, lam, horizon, rng, min_jumps=1):
     """Simulate the fractional Poisson process by its renewal construction.
 
@@ -154,7 +163,7 @@ def simulate_fpp(beta, lam, horizon, rng, min_jumps=1):
     while True:
         batch = sample_ml_waiting(beta, lam, gen, size=32)
         for j in batch:
-            t += j
+            t = _next_jump(t, t + j)
             times.append(t)
             if t > horizon and len(times) >= min_jumps:
                 return RenewalPath(tuple(times), horizon)
@@ -173,18 +182,19 @@ def simulate_timechange_renewal(spec, lam, horizon, rng, min_jumps=1):
         raise DomainError(f"horizon must be positive, got {horizon}")
     if not lam > 0.0:
         raise DomainError(f"rate must be positive, got {lam}")
+    _require_spec(spec)
     gen = _generator(rng)
     taus = []
+    tau = 0.0
     v_last = 0.0
     while True:
         gaps = gen.standard_exponential(32) / lam
         arrivals = v_last + np.cumsum(gaps)
         dts = np.diff(arrivals, prepend=v_last)
-        increments = _increments(spec, dts, gen)
-        base = taus[-1] if taus else 0.0
-        for d in np.cumsum(increments) + base:
-            taus.append(float(d))
-            if d > horizon and len(taus) >= min_jumps:
+        for d in np.cumsum(spec.increments(dts, gen)) + tau:
+            tau = _next_jump(tau, float(d))
+            taus.append(tau)
+            if tau > horizon and len(taus) >= min_jumps:
                 return RenewalPath(tuple(taus), horizon)
         v_last = float(arrivals[-1])
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SamplingError, UnsupportedSamplingError
-from .transforms import DistributedOrder, Stable, StableMixture, TemperedStable
+from .errors import DomainError, SamplingError
 
 __all__ = [
     "RngStream",
@@ -278,52 +277,27 @@ def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
     return _pack(best, size)
 
 
-def _increments(spec, dts, gen):
-    """Independent subordinator increments for each duration in dts."""
-    k = len(dts)
-    if isinstance(spec, Stable):
-        return dts ** (1.0 / spec.beta) * _stable_unit(gen, spec.beta, k)
-    if isinstance(spec, StableMixture):
-        # D(t) = sum_i w_i**(1/beta_i) D_i(t) with independent stable parts:
-        # E[exp(-s dt)] = prod_i exp(-dt (w_i**(1/b_i) s)**b_i)
-        #              = exp(-dt sum_i w_i s**b_i)
-        total = np.zeros(k)
-        for w, b in zip(spec.weights, spec.betas):
-            total += w ** (1.0 / b) * dts ** (1.0 / b) * _stable_unit(gen, b, k)
-        return total
-    if isinstance(spec, TemperedStable):
-        return np.array(
-            [
-                sample_tempered_stable_increment(spec.beta, spec.a, dt, gen)
-                for dt in dts
-            ]
-        )
-    if isinstance(spec, DistributedOrder):
-        raise UnsupportedSamplingError(
-            "distributed-order subordinators have no exact increment sampler; "
-            "use the analytic distribution routines instead"
-        )
-    raise DomainError(f"not a subordinator spec: {spec!r}")
-
-
 def sample_subordinator_at(spec, times, rng, size=None):
     """Evaluate one subordinator path at strictly increasing times.
 
     Returns D(t_1) < D(t_2) < ... composed from exact independent
-    increments.  ``size=k`` stacks k independent paths into an array of
-    shape (k, len(times)).  DistributedOrder has no exact sampler and
-    raises UnsupportedSamplingError.
+    increments, drawn by the spec's ``increments`` method.  ``size=k``
+    stacks k independent paths into an array of shape (k, len(times)).
+    DistributedOrder has no exact sampler and raises
+    UnsupportedSamplingError.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise DomainError("times must be a nonempty 1-d sequence")
     if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
         raise DomainError("times must be strictly increasing and positive")
+    # the spec classes live in transforms, which imports this module
+    increments = getattr(spec, "increments", None)
+    if increments is None:
+        raise DomainError(f"not a subordinator spec: {spec!r}")
     gen = _generator(rng)
     dts = np.diff(times, prepend=0.0)
     if size is None:
-        return np.cumsum(_increments(spec, dts, gen))
+        return np.cumsum(increments(dts, gen))
     n = _count(size)
-    return np.cumsum(
-        np.stack([_increments(spec, dts, gen) for _ in range(n)]), axis=1
-    )
+    return np.cumsum(np.stack([increments(dts, gen) for _ in range(n)]), axis=1)

@@ -17,6 +17,13 @@ radius.  Near that crossover the absolute error is about 1e-8 for
 ``beta <= 0.7`` and up to a few 1e-7 as ``beta`` approaches 1; relative
 error at the crossover degrades for ``beta >= 0.9`` because the function
 itself becomes exponentially small there.
+
+One routine, ``_asymptotic_series``, sums the asymptotic expansion for
+``ml_one``, ``prabhakar`` and the far-tail pmf of ``distributions``.  It
+truncates at the smallest term of a pole-free envelope, so the absolute
+error of the asymptotic branch is about that envelope floor; ``prabhakar``
+and the far-tail pmf raise ``EvaluationError`` when the floor is too
+coarse for the value, ``ml_one`` does not.
 """
 
 from __future__ import annotations
@@ -106,23 +113,41 @@ def _ml_power_series(beta: float, z: float, control: SeriesControl) -> float:
     )
 
 
-def _ml_asymptotic(beta: float, z: float, control: SeriesControl) -> float:
-    # E_beta(-x) ~ sum_{k>=1} (-1)^{k+1} x^{-k} / Gamma(1 - beta k),
-    # truncated where the pole-free envelope x^{-k} Gamma(beta k)/pi
-    # is smallest (|1/Gamma(1-y)| = Gamma(y)|sin(pi y)|/pi for y > 0).
-    x = -z
-    lx = math.log(x)
-    ks = np.arange(1, max(control.max_terms, 300))
-    ln_env = -ks * lx + gammaln(beta * ks) - math.log(math.pi)
-    kstar = int(ks[np.argmin(ln_env)])
+def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
+    """Optimally truncated algebraic expansion deep on the negative axis.
+
+    Sums sum_k (-1)^k (g)_k / k! * x^-(h+k) / Gamma(theta - alpha (h+k))
+    over k < n_terms, with ``lx = log x``: the asymptotic series of
+    ``ml_one`` (g = h = theta = 1), of ``prabhakar`` (h = g) and of the
+    far-tail pmf (g = n + 1, h = theta = 1).  The sum stops at the
+    smallest term of a pole-free envelope, or earlier once the envelope
+    falls below 1e-18.  The envelope bounds |1/Gamma(y)| by
+    Gamma(1-y)/pi (reflection, |sin| <= 1), except that it takes the
+    exact value where y >= 1/2 unless ``reflect`` is set.  Returns
+    (total, ln_floor), ln_floor being the log of the smallest envelope
+    term, which is about the absolute error.
+    """
+    ks = np.arange(float(n_terms))
+    m = h + ks
+    y = theta - alpha * m
+    cut = math.inf if reflect else 0.5
+    env = np.where(
+        y >= cut,
+        -gammaln(np.maximum(y, 0.5)),
+        gammaln(1.0 - np.minimum(y, cut)) - math.log(math.pi),
+    )
+    ln_env = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) - m * lx + env
+    kstar = int(np.argmin(ln_env))
     deep = np.nonzero(ln_env < math.log(1e-18))[0]
     if deep.size:
-        kstar = min(kstar, int(ks[deep[0]]))
+        kstar = min(kstar, int(deep[0]))
     terms = [
-        (-1.0) ** (k + 1) * math.exp(-k * lx) * rgamma(1.0 - beta * k)
-        for k in range(1, kstar + 1)
+        (-1.0) ** k
+        * math.exp(gammaln(g + k) - gammaln(g) - gammaln(k + 1.0) - (h + k) * lx)
+        * rgamma(theta - alpha * (h + k))
+        for k in range(kstar + 1)
     ]
-    return math.fsum(terms)
+    return math.fsum(terms), float(np.min(ln_env))
 
 
 def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float:
@@ -171,49 +196,13 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
         return _ml_power_series(beta, z, ctrl)
     if -z <= switch:
         return _ml_power_series(beta, z, ctrl)
-    return _ml_asymptotic(beta, z, ctrl)
-
-
-def _prabhakar_asymptotic(
-    gamma: float, alpha: float, theta: float, z: float, control: SeriesControl
-) -> float:
-    # E^g_{a,th}(-x) ~ sum_k (-1)^k (g)_k / k! * x^{-g-k} / Gamma(th - a(g+k)),
-    # the term-wise inverse transform of the s -> 0 binomial expansion of
-    # s^{a g - th} (s^a + x)^{-g}.  Truncated at the smallest term of the
-    # pole-free envelope, so the absolute error is about that envelope floor.
-    x = -z
-    lx = math.log(x)
-    ks = np.arange(max(control.max_terms, 300), dtype=float)
-    m = gamma + ks
-    y = theta - alpha * m
-    # |1/Gamma(y)| <= Gamma(1-y)/pi for y < 1/2 (reflection, |sin| <= 1)
-    env = np.where(
-        y >= 0.5,
-        -gammaln(np.maximum(y, 0.5)),
-        gammaln(1.0 - np.minimum(y, 0.5)) - math.log(math.pi),
+    # E_beta(-x) ~ sum_{k=1}^{N-1} (-1)^{k+1} x^{-k} / Gamma(1 - beta k) with
+    # N = max(max_terms, 300), truncated on the reflection bound
+    # x^{-k} Gamma(beta k)/pi for every term (the exact head of the envelope
+    # would drop a ~1e-18 term at some beta < 0.2 and change the last bits)
+    total, _ = _asymptotic_series(
+        1.0, 1.0, beta, 1.0, math.log(-z), max(ctrl.max_terms, 300) - 1, reflect=True
     )
-    ln_env = gammaln(m) - gammaln(gamma) - gammaln(ks + 1.0) - m * lx + env
-    kstar = int(ks[np.argmin(ln_env)])
-    deep = np.nonzero(ln_env < math.log(1e-18))[0]
-    if deep.size:
-        kstar = min(kstar, int(ks[deep[0]]))
-    terms = [
-        (-1.0) ** k
-        * math.exp(
-            gammaln(gamma + k) - gammaln(gamma) - gammaln(k + 1.0)
-            - (gamma + k) * lx
-        )
-        * rgamma(theta - alpha * (gamma + k))
-        for k in range(kstar + 1)
-    ]
-    total = math.fsum(terms)
-    floor = math.exp(float(np.min(ln_env)))
-    if floor > 1e-6 * max(1.0, abs(total)):
-        raise EvaluationError(
-            f"asymptotic truncation floor {floor:.2e} too large at z={z} "
-            f"(gamma={gamma}, alpha={alpha}, theta={theta})",
-            partial=total,
-        )
     return total
 
 
@@ -257,7 +246,20 @@ def prabhakar(
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     if alpha < 1.0 and z < -_effective_switch(alpha, ctrl):
-        return _prabhakar_asymptotic(gamma, alpha, theta, z, ctrl)
+        # E^g_{a,th}(-x) ~ sum_k (-1)^k (g)_k / k! * x^{-g-k} / Gamma(th - a(g+k)),
+        # the term-wise inverse transform of the s -> 0 binomial expansion
+        # of s^{a g - th} (s^a + x)^{-g}; absolute error about the floor
+        total, ln_floor = _asymptotic_series(
+            gamma, gamma, alpha, theta, math.log(-z), max(ctrl.max_terms, 300)
+        )
+        floor = math.exp(ln_floor)
+        if floor > 1e-6 * max(1.0, abs(total)):
+            raise EvaluationError(
+                f"asymptotic truncation floor {floor:.2e} too large at z={z} "
+                f"(gamma={gamma}, alpha={alpha}, theta={theta})",
+                partial=total,
+            )
+        return total
     stop = 1e-3 * ctrl.abs_tol
     lgamma0 = gammaln(gamma)
     terms = []

@@ -8,12 +8,25 @@ E[exp(-s D(t))] = exp(-t psi(s)).  Four families are supported:
 * ``StableMixture(ws, betas)``  psi(s) = sum_i w_i s**beta_i
 * ``DistributedOrder(poly)``    psi(s) = int_0^1 s**beta p(beta) dbeta
 
-with p a nonnegative polynomial weight on (0, 1).  Every family exposes
-its Levy-measure tail phi(t) = nu(t, inf), and the module provides the
-numerical glue used throughout: a forward Laplace transform built for
-integrands with power-law singularities at the origin, two inversion
-algorithms (fixed-Talbot and Gaver-Stehfest), and a self-consistency
-check of the Bernstein identity
+with p a nonnegative polynomial weight on (0, 1).  Each family is a
+frozen dataclass that carries its own formulas, so the family is decided
+once, by the class of the spec:
+
+* ``psi(s)``: the Laplace exponent at real s > 0 or complex s off the
+  branch cut (-inf, 0];
+* ``tail(t)``: the Levy-measure tail phi(t) = nu(t, inf) on a 1-d array
+  of positive t;
+* ``tail_completion(U)``: the mass int_0^exp(-U) phi(t) dt of the deep
+  tail, in closed form;
+* ``increments(dts, gen)``: independent increments D(dt), one per
+  duration in ``dts``, drawn from a numpy Generator.
+
+The public functions below check their arguments and call these methods;
+the JSON form of a spec follows from its dataclass fields.  The module
+also provides the numerical glue used throughout: a forward Laplace
+transform built for integrands with power-law singularities at the
+origin, two inversion algorithms (fixed-Talbot and Gaver-Stehfest), and a
+self-consistency check of the Bernstein identity
 
     int_0^inf exp(-s t) phi(t) dt = psi(s) / s,
 
@@ -26,15 +39,16 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Union, get_args
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaincc, gammaln
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, UnsupportedSamplingError
+from .samplers import _stable_unit, sample_tempered_stable_increment
 
 __all__ = [
     "Stable",
@@ -54,13 +68,58 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# subordinator specifications
+# helpers shared by the families
 # ---------------------------------------------------------------------------
 
 def _check_beta(beta):
     if not (0.0 < beta < 1.0):
         raise DomainError(f"stability index must lie in (0, 1), got {beta}")
 
+
+def _power(s, beta):
+    """Principal-branch s**beta accepting real or complex scalars."""
+    if isinstance(s, complex):
+        return cmath.exp(beta * cmath.log(s))
+    return float(s) ** beta
+
+
+_GL_CACHE = {}
+
+
+def _gl_nodes(n):
+    if n not in _GL_CACHE:
+        x, w = np.polynomial.legendre.leggauss(n)
+        # map from (-1, 1) to (0, 1)
+        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
+    return _GL_CACHE[n]
+
+
+# Taylor coefficients of 1/Gamma(w) = sum_k RGAMMA_TAYLOR[k] w^(k+1); used
+# by the small-t expansion of the distributed-order tail.
+_RGAMMA_TAYLOR = (
+    1.0,
+    0.57721566490153286,
+    -0.65587807152025388,
+    -0.042002635034095236,
+    0.16653861138229149,
+    -0.042197734555544337,
+    -0.0096219715278769736,
+    0.0072189432466630995,
+    -0.0011651675918590651,
+    -0.00021524167411495097,
+    0.00012805028238811619,
+    -2.0134854780788239e-5,
+    -1.2504934821426707e-6,
+    1.1330272319816959e-6,
+    -2.0563384169776071e-7,
+)
+
+_DO_SERIES_U = 40.0  # beyond t = exp(-40) the moment series is exact to ~1e-13
+
+
+# ---------------------------------------------------------------------------
+# subordinator specifications
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Stable:
@@ -70,6 +129,19 @@ class Stable:
 
     def __post_init__(self):
         _check_beta(self.beta)
+
+    def psi(self, s):
+        return _power(s, self.beta)
+
+    def tail(self, t):
+        return t ** (-self.beta) * math.exp(-gammaln(1.0 - self.beta))
+
+    def tail_completion(self, U):
+        b = self.beta
+        return math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
+
+    def increments(self, dts, gen):
+        return dts ** (1.0 / self.beta) * _stable_unit(gen, self.beta, len(dts))
 
 
 @dataclass(frozen=True)
@@ -87,6 +159,27 @@ class TemperedStable:
         _check_beta(self.beta)
         if not self.a > 0.0:
             raise DomainError(f"tempering rate must be positive, got {self.a}")
+
+    def psi(self, s):
+        return _power(s + self.a, self.beta) - self.a ** self.beta
+
+    def tail(self, t):
+        beta, a = self.beta, self.a
+        # (beta/Gamma(1-beta)) int_t^inf exp(-a u) u^(-beta-1) du in
+        # closed form via the upper incomplete gamma function:
+        # phi(t) = t^-beta exp(-a t)/Gamma(1-beta) - a^beta Q(1-beta, a t)
+        out = t ** (-beta) * np.exp(-a * t) * math.exp(
+            -gammaln(1.0 - beta)
+        ) - a ** beta * gammaincc(1.0 - beta, a * t)
+        return np.maximum(out, 0.0)
+
+    # near t = 0 the tempering factor is 1, so the deep tail is Stable's
+    tail_completion = Stable.tail_completion
+
+    def increments(self, dts, gen):
+        return np.array(
+            [sample_tempered_stable_increment(self.beta, self.a, dt, gen) for dt in dts]
+        )
 
 
 @dataclass(frozen=True)
@@ -111,6 +204,30 @@ class StableMixture:
         for b in self.betas:
             _check_beta(b)
 
+    def psi(self, s):
+        return sum(w * _power(s, b) for w, b in zip(self.weights, self.betas))
+
+    def tail(self, t):
+        out = np.zeros_like(t)
+        for w, b in zip(self.weights, self.betas):
+            out += w * t ** (-b) * math.exp(-gammaln(1.0 - b))
+        return out
+
+    def tail_completion(self, U):
+        return sum(
+            w * math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
+            for w, b in zip(self.weights, self.betas)
+        )
+
+    def increments(self, dts, gen):
+        # D(t) = sum_i w_i**(1/beta_i) D_i(t) with independent stable parts:
+        # E[exp(-s dt)] = prod_i exp(-dt (w_i**(1/b_i) s)**b_i)
+        #              = exp(-dt sum_i w_i s**b_i)
+        total = np.zeros(len(dts))
+        for w, b in zip(self.weights, self.betas):
+            total += w ** (1.0 / b) * dts ** (1.0 / b) * _stable_unit(gen, b, len(dts))
+        return total
+
 
 @dataclass(frozen=True)
 class DistributedOrder:
@@ -119,7 +236,10 @@ class DistributedOrder:
     psi(s) = int_0^1 s**beta p(beta) dbeta where p(beta) is the
     polynomial with coefficients ``poly`` (ascending powers).  ``poly``
     defaults to the uniform density p = 1.  p must be nonnegative on
-    [0, 1] with positive total mass.
+    [0, 1] with positive total mass.  The tail switches to a small-t
+    moment expansion below t = exp(-40), where the direct quadrature of
+    int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta would overflow.  There
+    is no exact increment sampler.
     """
 
     poly: tuple = (1.0,)
@@ -139,56 +259,117 @@ class DistributedOrder:
         """Evaluate the order density p(beta)."""
         return np.polynomial.polynomial.polyval(beta, self.poly)
 
+    def psi(self, s):
+        # Gauss-Legendre in beta with node doubling
+        ln_s = cmath.log(s) if isinstance(s, complex) else math.log(s)
+        prev = None
+        for n in (48, 96, 192):
+            nodes, weights = _gl_nodes(n)
+            vals = self.weight(nodes) * np.exp(nodes * ln_s)
+            total = (weights * vals).sum()
+            if prev is not None and abs(total - prev) <= 1e-12 * max(1.0, abs(total)):
+                break
+            prev = total
+        return total if isinstance(s, complex) else float(total)
+
+    def _moment_coeffs(self):
+        """Coefficients d_m of p(1-w)/Gamma(w) = sum_m d_m w^m, m >= 1.
+
+        Writing the tail at t = exp(-u) as int_0^1 exp(-w u) q(w) dw with
+        q(w) = p(1-w)/Gamma(w), the deep-tail behaviour is
+        sum_m d_m m!/u^(m+1) once exp(-u) corrections die out.
+        """
+        # p(1 - w) as a polynomial in w
+        pw = np.polynomial.polynomial.Polynomial(self.poly)(
+            np.polynomial.polynomial.Polynomial([1.0, -1.0])
+        ).coef
+        rg = np.zeros(len(_RGAMMA_TAYLOR) + 1)
+        rg[1:] = _RGAMMA_TAYLOR
+        full = np.polynomial.polynomial.polymul(pw, rg)[: len(_RGAMMA_TAYLOR) + 1]
+        return full  # index m holds d_m; full[0] == 0
+
+    def _tail_series(self, u):
+        """The tail at t = exp(-u) for u >= _DO_SERIES_U."""
+        d = self._moment_coeffs()
+        total = 0.0
+        fact = 1.0
+        for m in range(1, len(d)):
+            fact *= m  # m!
+            total += d[m] * fact / u ** (m + 1)
+        # phi(exp(-u)) = exp(u) * sum; route through logs near the overflow edge
+        if total > 0.0 and u > 700.0:
+            return math.exp(u + math.log(total))
+        return math.exp(u) * total
+
+    def tail(self, t):
+        out = np.empty_like(t)
+        u = -np.log(t)
+        deep = u >= _DO_SERIES_U
+        for i in np.nonzero(deep)[0]:
+            out[i] = self._tail_series(u[i])
+        if np.any(~deep):
+            nodes, weights = _gl_nodes(192)
+            dens = self.weight(nodes) * np.exp(-gammaln(1.0 - nodes))
+            for i in np.nonzero(~deep)[0]:
+                out[i] = float((weights * dens * t[i] ** (-nodes)).sum())
+        return out
+
+    def tail_completion(self, U):
+        # moment series: int_U^inf sum_m d_m m!/u^(m+1) du
+        d = self._moment_coeffs()
+        return sum(d[m] * math.factorial(m - 1) / U ** m for m in range(1, len(d)))
+
+    def increments(self, dts, gen):
+        raise UnsupportedSamplingError(
+            "distributed-order subordinators have no exact increment sampler; "
+            "use the analytic distribution routines instead"
+        )
+
 
 SubordinatorSpec = Union[Stable, TemperedStable, StableMixture, DistributedOrder]
 
-_VARIANTS = {
-    "Stable": Stable,
-    "TemperedStable": TemperedStable,
-    "StableMixture": StableMixture,
-    "DistributedOrder": DistributedOrder,
-}
+_SPEC_CLASSES = get_args(SubordinatorSpec)  # a tuple checks ~15x faster than the Union
+_VARIANTS = {cls.__name__: cls for cls in _SPEC_CLASSES}
+
+
+def _require_spec(spec):
+    if not isinstance(spec, _SPEC_CLASSES):
+        raise DomainError(f"not a subordinator spec: {spec!r}")
 
 
 def spec_to_json(spec):
     """Serialize a subordinator spec to a JSON-compatible dict."""
-    if isinstance(spec, Stable):
-        return {"variant": "Stable", "beta": spec.beta}
-    if isinstance(spec, TemperedStable):
-        return {"variant": "TemperedStable", "beta": spec.beta, "a": spec.a}
-    if isinstance(spec, StableMixture):
-        return {
-            "variant": "StableMixture",
-            "weights": list(spec.weights),
-            "betas": list(spec.betas),
-        }
-    if isinstance(spec, DistributedOrder):
-        return {"variant": "DistributedOrder", "poly": list(spec.poly)}
-    raise DomainError(f"not a subordinator spec: {spec!r}")
+    _require_spec(spec)
+    data = {"variant": type(spec).__name__}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        data[f.name] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def spec_from_json(data):
-    """Reconstruct a subordinator spec from a dict or a JSON string."""
+    """Reconstruct a subordinator spec from a dict or a JSON string.
+
+    Malformed input (invalid JSON, an unknown variant, missing, extra or
+    ill-typed fields) raises DomainError.
+    """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise DomainError(f"invalid subordinator JSON: {exc}") from None
     if not isinstance(data, dict):
         raise DomainError(f"expected an object describing a subordinator, got {data!r}")
     variant = data.get("variant")
-    if variant not in _VARIANTS:
+    cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
+    if cls is None:
         raise DomainError(f"unknown subordinator variant {variant!r}")
-    cls = _VARIANTS[variant]
     kwargs = {k: v for k, v in data.items() if k != "variant"}
-    if variant == "StableMixture":
-        kwargs = {
-            "weights": tuple(kwargs.pop("weights")),
-            "betas": tuple(kwargs.pop("betas")),
-            **kwargs,
-        }
-    if variant == "DistributedOrder" and "poly" in kwargs:
-        kwargs["poly"] = tuple(kwargs["poly"])
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except DomainError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"bad fields for {variant}: {exc}") from None
 
 
@@ -251,45 +432,8 @@ class JumpDist:
 
 
 # ---------------------------------------------------------------------------
-# Laplace exponent
+# Laplace exponent and Levy-measure tail
 # ---------------------------------------------------------------------------
-
-_GL_CACHE = {}
-
-
-def _gl_nodes(n):
-    if n not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        # map from (-1, 1) to (0, 1)
-        _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GL_CACHE[n]
-
-
-def _power(s, beta):
-    """Principal-branch s**beta accepting real or complex scalars."""
-    if isinstance(s, complex):
-        return cmath.exp(beta * cmath.log(s))
-    return float(s) ** beta
-
-
-def _do_exponent(spec, s):
-    """int_0^1 s**beta p(beta) dbeta by Gauss-Legendre with node doubling."""
-    if isinstance(s, complex):
-        ln_s = cmath.log(s)
-        exp = np.exp
-    else:
-        ln_s = math.log(s)
-        exp = np.exp
-    prev = None
-    for n in (48, 96, 192):
-        nodes, weights = _gl_nodes(n)
-        vals = spec.weight(nodes) * exp(nodes * ln_s)
-        total = (weights * vals).sum()
-        if prev is not None and abs(total - prev) <= 1e-12 * max(1.0, abs(total)):
-            return total
-        prev = total
-    return prev
-
 
 def laplace_exponent(spec, s):
     """Laplace exponent psi(s) of the subordinator ``spec``.
@@ -298,6 +442,7 @@ def laplace_exponent(spec, s):
     complex arguments use principal-branch powers so that conjugate
     symmetry psi(conj s) = conj psi(s) holds.
     """
+    _require_spec(spec)
     if isinstance(s, complex):
         if s == 0:
             return 0.0 + 0.0j
@@ -309,75 +454,7 @@ def laplace_exponent(spec, s):
             raise DomainError("laplace exponent needs s >= 0 on the real axis")
         if s == 0.0:
             return 0.0
-    if isinstance(spec, Stable):
-        return _power(s, spec.beta)
-    if isinstance(spec, TemperedStable):
-        return _power(s + spec.a, spec.beta) - spec.a ** spec.beta
-    if isinstance(spec, StableMixture):
-        return sum(w * _power(s, b) for w, b in zip(spec.weights, spec.betas))
-    if isinstance(spec, DistributedOrder):
-        val = _do_exponent(spec, s)
-        return val if isinstance(s, complex) else float(val.real if np.iscomplexobj(val) else val)
-    raise DomainError(f"not a subordinator spec: {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# Levy-measure tails
-# ---------------------------------------------------------------------------
-
-# Taylor coefficients of 1/Gamma(w) = sum_k RGAMMA_TAYLOR[k] w^(k+1); used
-# by the small-t expansion of the distributed-order tail.
-_RGAMMA_TAYLOR = (
-    1.0,
-    0.57721566490153286,
-    -0.65587807152025388,
-    -0.042002635034095236,
-    0.16653861138229149,
-    -0.042197734555544337,
-    -0.0096219715278769736,
-    0.0072189432466630995,
-    -0.0011651675918590651,
-    -0.00021524167411495097,
-    0.00012805028238811619,
-    -2.0134854780788239e-5,
-    -1.2504934821426707e-6,
-    1.1330272319816959e-6,
-    -2.0563384169776071e-7,
-)
-
-
-def _do_moment_coeffs(spec):
-    """Coefficients d_m of p(1-w)/Gamma(w) = sum_m d_m w^m, m >= 1.
-
-    Writing the distributed-order tail at t = exp(-u) as
-    int_0^1 exp(-w u) q(w) dw with q(w) = p(1-w)/Gamma(w), the deep-tail
-    behaviour is sum_m d_m m!/u^(m+1) once exp(-u) corrections die out.
-    """
-    # p(1 - w) as a polynomial in w
-    pw = np.polynomial.polynomial.Polynomial(spec.poly)(
-        np.polynomial.polynomial.Polynomial([1.0, -1.0])
-    ).coef
-    rg = np.zeros(len(_RGAMMA_TAYLOR) + 1)
-    rg[1:] = _RGAMMA_TAYLOR
-    full = np.polynomial.polynomial.polymul(pw, rg)[: len(_RGAMMA_TAYLOR) + 1]
-    return full  # index m holds d_m; full[0] == 0
-
-
-_DO_SERIES_U = 40.0  # beyond t = exp(-40) the moment series is exact to ~1e-13
-
-
-def _do_tail_series(spec, u):
-    """Distributed-order tail at t = exp(-u) for u >= _DO_SERIES_U."""
-    d = _do_moment_coeffs(spec)
-    total = 0.0
-    fact = 1.0
-    for m in range(1, len(d)):
-        fact *= m  # m!
-        total += d[m] * fact / u ** (m + 1)
-    # phi(exp(-u)) = exp(u) * sum; route through logs near the overflow edge
-    if total > 0.0 and u > 700.0:
-        return math.exp(u + math.log(total))
-    return math.exp(u) * total
+    return spec.psi(s)
 
 
 def levy_tail(spec, t):
@@ -388,41 +465,12 @@ def levy_tail(spec, t):
     direct quadrature of int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta
     would overflow.
     """
+    _require_spec(spec)
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0.0):
         raise DomainError("levy tail needs t > 0")
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-
-    if isinstance(spec, Stable):
-        out = t_arr ** (-spec.beta) * math.exp(-gammaln(1.0 - spec.beta))
-    elif isinstance(spec, TemperedStable):
-        beta, a = spec.beta, spec.a
-        # (beta/Gamma(1-beta)) int_t^inf exp(-a u) u^(-beta-1) du in
-        # closed form via the upper incomplete gamma function:
-        # phi(t) = t^-beta exp(-a t)/Gamma(1-beta) - a^beta Q(1-beta, a t)
-        out = t_arr ** (-beta) * np.exp(-a * t_arr) * math.exp(
-            -gammaln(1.0 - beta)
-        ) - a ** beta * gammaincc(1.0 - beta, a * t_arr)
-        out = np.maximum(out, 0.0)
-    elif isinstance(spec, StableMixture):
-        out = np.zeros_like(t_arr)
-        for w, b in zip(spec.weights, spec.betas):
-            out += w * t_arr ** (-b) * math.exp(-gammaln(1.0 - b))
-    elif isinstance(spec, DistributedOrder):
-        out = np.empty_like(t_arr)
-        u = -np.log(t_arr)
-        deep = u >= _DO_SERIES_U
-        for i in np.nonzero(deep)[0]:
-            out[i] = _do_tail_series(spec, u[i])
-        if np.any(~deep):
-            nodes, weights = _gl_nodes(192)
-            dens = spec.weight(nodes) * np.exp(-gammaln(1.0 - nodes))
-            for i in np.nonzero(~deep)[0]:
-                out[i] = float((weights * dens * t_arr[i] ** (-nodes)).sum())
-    else:
-        raise DomainError(f"not a subordinator spec: {spec!r}")
-    return float(out[0]) if scalar else out
+    out = spec.tail(np.atleast_1d(t_arr))
+    return float(out[0]) if t_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +692,8 @@ def _tail_forward(spec, s):
 
     On (0, 1] the integral runs on the log axis down to t = exp(-U),
     U = 600; the remaining mass (significant only when the tail decays
-    as slowly as t^-(1-eps)) is added in closed form per family, using
-    exp(-s t) = 1 + O(exp(-U)) there.
+    as slowly as t^-(1-eps)) is added in closed form by the family's
+    ``tail_completion``, using exp(-s t) = 1 + O(exp(-U)) there.
     """
     U = 600.0
     total, err = integrate.quad(
@@ -668,27 +716,7 @@ def _tail_forward(spec, s):
         total += val
         err += e
         hi = lo
-
-    # analytic completion over (0, exp(-U)): int phi(t) dt = int_U^inf
-    # exp(-u) phi(exp(-u)) du with exp(-s t) ~ 1
-    if isinstance(spec, Stable):
-        b = spec.beta
-        comp = math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
-    elif isinstance(spec, TemperedStable):
-        b = spec.beta
-        comp = math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
-    elif isinstance(spec, StableMixture):
-        comp = sum(
-            w * math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
-            for w, b in zip(spec.weights, spec.betas)
-        )
-    else:
-        # moment series: int_U^inf sum_m d_m m!/u^(m+1) du
-        d = _do_moment_coeffs(spec)
-        comp = sum(
-            d[m] * math.factorial(m - 1) / U ** m for m in range(1, len(d))
-        )
-    return total + comp, err
+    return total + spec.tail_completion(U), err
 
 
 def bern_identity_check(spec, s):
@@ -701,6 +729,7 @@ def bern_identity_check(spec, s):
     """
     if not s > 0.0:
         raise DomainError(f"identity check needs s > 0, got {s}")
+    _require_spec(spec)
     lhs, _ = _tail_forward(spec, s)
     rhs = laplace_exponent(spec, s) / s
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)

@@ -275,6 +275,15 @@ class TestSample:
         assert code == 2
         assert "--spec" in err
 
+    def test_malformed_spec_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            ["sample", "--process", "timechange", "--spec", '{"variant":"StableMixture"}',
+             "--lambda", "1", "--horizon", "1", "--seed", "1"],
+            capsys,
+        )
+        assert code == 2
+        assert "error:" in err
+
     def test_bad_path_count(self, capsys):
         code, _, err = run_cli(
             ["sample", "--process", "fpp", "--beta", "0.5", "--lambda", "1",

@@ -1,0 +1,152 @@
+"""Exact-output regression pins for the asymptotic series and the CLI.
+
+Every expected value below was produced by the implementation that kept
+one asymptotic-series routine per caller and one ``isinstance`` ladder
+per subordinator operation.  The tests compare ``repr`` strings and
+SHA-256 digests, not tolerances: refactors of those layers must keep the
+output bytes identical.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from fracpoisson import fpp_pmf, ml_one, prabhakar
+from fracpoisson.cli import main
+from fracpoisson.distributions import _pmf_far_tail
+
+# (beta, z, repr) on the asymptotic branch of ml_one (-z above the switch)
+ML_ONE_ASYMPTOTIC = [
+    (0.5, -5.0, "0.11070463773196226"),
+    (0.5, -20.0, "0.028174348741051323"),
+    (0.5, -1000.0, "0.0005641893014533878"),
+    (0.3, -3.0, "0.21180263319643575"),
+    (0.3, -50.0, "0.015228201501814692"),
+    (0.9, -12.0, "0.01027522798783284"),
+    (0.9, -100.0, "0.0010689724182870886"),
+    (0.1, -2.0, "0.3200153359597274"),
+    (0.1, -1000000.0, "9.357778619766244e-07"),
+    (0.7, -8.0, "0.04606999298189691"),
+    (0.7, -10000.0, "3.3429961379213076e-05"),
+    (0.05, -100000000.0, "9.695058164447981e-09"),
+]
+
+# (gamma, alpha, theta, z, repr) on the asymptotic branch of prabhakar
+PRABHAKAR_ASYMPTOTIC = [
+    (2.0, 0.6, 1.6, -10.0, "0.004785236268898845"),
+    (1.0, 0.5, 0.5, -20.0, "0.0007026087267299006"),
+    (3.0, 0.4, 2.2, -50.0, "7.681964606719754e-06"),
+    (0.7, 0.8, 1.1, -40.0, "0.04624682351670475"),
+    (5.0, 0.3, 2.5, -1000.0, "9.961548464436564e-16"),
+    (1.5, 0.5, 1.0, -7.0, "0.016761357073298924"),
+    (2.0, 0.9, 1.9, -30.0, "0.00013138938660341403"),
+    (4.0, 0.2, 1.0, -5.0, "0.00028778142311212056"),
+]
+
+# (beta, lam, t, n, repr) with lam t**beta past the series switch
+FPP_PMF_FAR = [
+    (0.5, 1.0, 30.0, 1, "0.09824162595308855"),
+    (0.5, 1.0, 30.0, 3, "0.08835202675996325"),
+    (0.5, 1.0, 30.0, 10, "0.040725764569442005"),
+    (0.7, 2.0, 10.0, 5, "0.04838795303113257"),
+    (0.9, 1.0, 20.0, 3, "0.012238328455177"),
+    (0.3, 1.0, 100.0, 2, "0.12173027868819546"),
+    (0.6, 3.0, 50.0, 40, "0.013416666017385483"),
+    (0.4, 2.0, 10000.0, 7, "0.008147399315008488"),
+]
+
+# (beta, z, n, repr or exception name) of the far-tail expansion itself
+FAR_TAIL = [
+    (0.5, 6.0, 3, "0.08260881000471088"),
+    (0.3, 4.0, 2, "0.12142331020175008"),
+    (0.6, 1000.0, 900, "0.0004950609995245553"),
+    (0.5, 20.0, 10, "0.026008245194479817"),
+    (0.8, 50.0, 30, "0.009460461569072052"),
+    (0.4, 100.0, 50, "0.005438522298781564"),
+    (0.95, 100.0, 20, "0.0007915119706751102"),
+    (0.9, 15.0, 3, "EvaluationError"),
+    (0.7, 10.0, 5, "EvaluationError"),
+    (0.5, 5.0, 30, "EvaluationError"),
+    (0.9, 12.0, 40, "EvaluationError"),
+]
+
+# (process, spec, lambda, horizon, paths, seed, stdout length, sha256)
+SAMPLE_DIGESTS = [
+    ("timechange", '{"variant":"Stable","beta":0.6}', "1", "5", "40", "17",
+     3005, "e0c2495bb48948f4f7218b0183ee7cd2f8e64b1f94cd3093d123c2b029f4a8c5"),
+    ("timechange", '{"variant":"TemperedStable","beta":0.5,"a":1.0}', "2", "3", "30", "18",
+     9287, "4e68a726673e24c96bfa2d8ec1ba334155e7e1c3e8c59dacb097b091751a446a"),
+    ("timechange",
+     '{"variant":"StableMixture","weights":[0.5,0.5],"betas":[0.4,0.8]}', "1", "5", "40", "19",
+     2752, "615c4291465cd4a87accf8464dad7896957d6733b31a40ecfdfd602b80cf6aaf"),
+    ("ctrw", '{"variant":"Stable","beta":0.7}', "1", "4", "30", "20",
+     3320, "537ecfe9a322205b80575e9dfceeb5abd2526f5701f338ede391ed3d54517877"),
+]
+
+# (spec, lambda, t, CSV length, sha256) of ``pmf --spec``
+PMF_DIGESTS = [
+    ('{"variant":"TemperedStable","beta":0.5,"a":1.0}', "1", "0.5",
+     1826, "5a482e355d68fa77cb207452778458b4de9d1bd52f90fd642d7f9ce9fc7c7563"),
+    ('{"variant":"StableMixture","weights":[0.5,0.5],"betas":[0.4,0.8]}', "1", "0.5",
+     1014, "d09f6d3de16565845f30f236ddb2551a8444689eced9072225edae63999e0474"),
+    ('{"variant":"DistributedOrder","poly":[0.5,1.0]}', "1", "0.5",
+     1008, "9b182ae1ed9aa2567e3a4783454068210c54d48de54be6706378aee9e69969ee"),
+]
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the exception type is part of the pin
+        return type(exc).__name__
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("beta, z, expected", ML_ONE_ASYMPTOTIC)
+def test_ml_one_asymptotic_bytes(beta, z, expected):
+    assert repr(ml_one(beta, z)) == expected
+
+
+@pytest.mark.parametrize("g, a, th, z, expected", PRABHAKAR_ASYMPTOTIC)
+def test_prabhakar_asymptotic_bytes(g, a, th, z, expected):
+    assert repr(prabhakar(g, a, th, z)) == expected
+
+
+@pytest.mark.parametrize("beta, lam, t, n, expected", FPP_PMF_FAR)
+def test_fpp_pmf_far_bytes(beta, lam, t, n, expected):
+    assert repr(fpp_pmf(beta, lam, t, n)) == expected
+
+
+@pytest.mark.parametrize("beta, z, n, expected", FAR_TAIL)
+def test_far_tail_expansion_bytes(beta, z, n, expected):
+    assert _outcome(_pmf_far_tail, beta, z, n) == expected
+
+
+@pytest.mark.parametrize(
+    "process, spec, lam, horizon, paths, seed, length, digest", SAMPLE_DIGESTS,
+    ids=["stable", "tempered", "mixture", "ctrw"],
+)
+def test_sample_stdout_digest(process, spec, lam, horizon, paths, seed, length, digest):
+    text = _cli_stdout(["sample", "--process", process, "--spec", spec, "--lambda", lam,
+                        "--horizon", horizon, "--paths", paths, "--seed", seed])
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec, lam, t, length, digest", PMF_DIGESTS,
+    ids=["tempered", "mixture", "distributed"],
+)
+def test_pmf_spec_csv_digest(spec, lam, t, length, digest):
+    text = _cli_stdout(["pmf", "--spec", spec, "--lambda", lam, "--t", t])
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

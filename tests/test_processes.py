@@ -135,6 +135,34 @@ class TestSimulateFpp:
             simulate_fpp(0.5, 1.0, 0.0, RngStream(SEED))
 
 
+class TestSubSpacingWaits:
+    """Waits below the float spacing near t must not repeat a jump time."""
+
+    def test_fpp(self, monkeypatch):
+        waits = np.full(32, 1e-17)
+        waits[0], waits[-1] = 1.0, 5.0
+        monkeypatch.setattr(
+            "fracpoisson.processes.sample_ml_waiting", lambda *args, **kwargs: waits
+        )
+        times = np.asarray(simulate_fpp(0.5, 1.0, 3.0, RngStream(SEED)).jump_times)
+        assert len(times) == 32
+        assert np.all(np.diff(times) > 0.0)
+        assert times[1] == math.nextafter(1.0, math.inf)
+
+    def test_timechange(self, monkeypatch):
+        def increments(self, dts, gen):
+            out = np.full(len(dts), 1e-17)
+            out[0], out[-1] = 1.0, 5.0
+            return out
+
+        monkeypatch.setattr(Stable, "increments", increments)
+        path = simulate_timechange_renewal(Stable(0.5), 1.0, 3.0, RngStream(SEED))
+        times = np.asarray(path.jump_times)
+        assert len(times) == 32
+        assert np.all(np.diff(times) > 0.0)
+        assert times[1] == math.nextafter(1.0, math.inf)
+
+
 class TestTimechangeRenewal:
     def test_first_wait_matches_renewal_route(self):
         n = 20_000

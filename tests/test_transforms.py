@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracpoisson.distributions import general_pmf
 from fracpoisson.errors import DomainError, EvaluationError
+from fracpoisson.processes import simulate_timechange_renewal
+from fracpoisson.samplers import RngStream, sample_subordinator_at
 from fracpoisson.special import ml_one
 from fracpoisson.transforms import (
     DistributedOrder,
@@ -87,6 +90,48 @@ class TestSpecs:
             spec_from_json([1, 2, 3])
         with pytest.raises(DomainError):
             spec_from_json({"variant": "Stable"})
+        # missing, ill-typed and unparseable fields, a non-string variant,
+        # truncated JSON
+        with pytest.raises(DomainError):
+            spec_from_json({"variant": "StableMixture"})
+        with pytest.raises(DomainError):
+            spec_from_json({"variant": "StableMixture", "weights": 5, "betas": [0.5]})
+        with pytest.raises(DomainError):
+            spec_from_json({"variant": "DistributedOrder", "poly": "ab"})
+        with pytest.raises(DomainError):
+            spec_from_json({"variant": ["Stable"], "beta": 0.5})
+        with pytest.raises(DomainError):
+            spec_from_json('{"variant": "Stable", "beta": ')
+
+
+class TestNonSpecArguments:
+    """Anything that is not a spec is a DomainError, at every entry point."""
+
+    @pytest.mark.parametrize("bad", ["Stable", None])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: laplace_exponent(spec, 1.0),
+            lambda spec: levy_tail(spec, 1.0),
+            lambda spec: bern_identity_check(spec, 1.0),
+            lambda spec: sample_subordinator_at(spec, [1.0], RngStream(1)),
+            lambda spec: simulate_timechange_renewal(spec, 1.0, 1.0, RngStream(1)),
+            lambda spec: general_pmf(spec, 1.0, 1.0, 0),
+            spec_to_json,
+        ],
+        ids=[
+            "laplace_exponent",
+            "levy_tail",
+            "bern_identity_check",
+            "sample_subordinator_at",
+            "simulate_timechange_renewal",
+            "general_pmf",
+            "spec_to_json",
+        ],
+    )
+    def test_domain_error(self, call, bad):
+        with pytest.raises(DomainError):
+            call(bad)
 
 
 class TestLaplaceExponent:
