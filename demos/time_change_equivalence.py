@@ -47,12 +47,12 @@ def first_wait_ks():
 
 def joint_epoch_transform():
     spec = Stable(BETA)
-    rng = RngStream(SEED, 2)
-    tau = np.array([
-        simulate_timechange_renewal(spec, LAM, 1e-9, rng, min_jumps=2).jump_times[:2]
-        for _ in range(N)
-    ])
-    emp, err = empirical_laplace(tau @ np.array([1.0, 1.0]), 1.0)
+    gen = RngStream(SEED, 2).generator
+    # tau1 = D(V_1) and tau2 = tau1 + D'(V_2 - V_1): the Poisson gaps V_1 and
+    # V_2 - V_1 are Exp(lam), and D' is an independent copy of D
+    tau1 = spec.increments(gen.standard_exponential(N) / LAM, gen)
+    tau2 = tau1 + spec.increments(gen.standard_exponential(N) / LAM, gen)
+    emp, err = empirical_laplace(tau1 + tau2, 1.0)
     # E[exp(-tau1 - tau2)] = lam^2 / ((lam + psi(2)) (lam + psi(1)))
     psi1 = laplace_exponent(spec, 1.0)
     psi2 = laplace_exponent(spec, 2.0)

@@ -152,7 +152,12 @@ def _pmf_far_tail(beta, z, n):
         raise EvaluationError(
             f"count n={n} too large relative to z={z} for the far-tail expansion"
         )
-    total, ln_floor = _asymptotic_series(n + 1.0, 1.0, beta, 1.0, math.log(z), 300)
+    try:
+        total, ln_floor = _asymptotic_series(n + 1.0, 1.0, beta, 1.0, math.log(z), 300)
+    except (ValueError, OverflowError):  # math.fsum of +inf and -inf, or overflow
+        total = math.nan
+    if not math.isfinite(total):
+        raise EvaluationError(f"far-tail sum is not finite at z={z}, n={n}")
     floor = math.exp(ln_floor)
     if floor > max(1e-10, 1e-6 * abs(total)):
         raise EvaluationError(
@@ -590,6 +595,14 @@ def _truncation_index(lam, psi_one, t):
     return n, math.exp(t) * ratio ** (n + 1)
 
 
+def _computed_table(t, params, rows, bound):
+    """PmfTable from computed rows; a failed check is a numerical failure."""
+    try:
+        return PmfTable(t=t, params=params, rows=rows, tail_mass_bound=bound)
+    except DomainError as exc:
+        raise EvaluationError(f"computed pmf table is invalid: {exc}") from None
+
+
 def fpp_pmf_table(beta, lam, t, params_extra=None):
     """Tabulate the fractional Poisson pmf with a certified tail bound."""
     if not t > 0.0:
@@ -599,7 +612,7 @@ def fpp_pmf_table(beta, lam, t, params_extra=None):
     params = {"process": "fpp", "beta": beta, "lam": lam}
     if params_extra:
         params.update(params_extra)
-    return PmfTable(t=t, params=params, rows=rows, tail_mass_bound=bound)
+    return _computed_table(t, params, rows, bound)
 
 
 def general_pmf_table(spec, lam, t):
@@ -612,4 +625,4 @@ def general_pmf_table(spec, lam, t):
     n_star, bound = _truncation_index(lam, psi_one, t)
     rows = tuple((n, general_pmf(spec, lam, t, n)) for n in range(n_star + 1))
     params = {"process": "timechange", "spec": spec_to_json(spec), "lam": lam}
-    return PmfTable(t=t, params=params, rows=rows, tail_mass_bound=bound)
+    return _computed_table(t, params, rows, bound)

@@ -146,14 +146,12 @@ def _next_jump(prev, t):
     return t if t > prev else math.nextafter(prev, math.inf)
 
 
-def simulate_fpp(beta, lam, horizon, rng, min_jumps=1):
+def simulate_fpp(beta, lam, horizon, rng):
     """Simulate the fractional Poisson process by its renewal construction.
 
     Jump times are cumulative sums of IID Mittag-Leffler waiting times
     with P(J > t) = E_beta(-lam t**beta).  Generation stops at the first
-    jump past the horizon (retained), but never before ``min_jumps``
-    jumps have been produced, so short-horizon studies of the first few
-    waiting times see uncensored values.
+    jump past the horizon, which is retained.
     """
     if not horizon > 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
@@ -165,11 +163,11 @@ def simulate_fpp(beta, lam, horizon, rng, min_jumps=1):
         for j in batch:
             t = _next_jump(t, t + j)
             times.append(t)
-            if t > horizon and len(times) >= min_jumps:
+            if t > horizon:
                 return RenewalPath(tuple(times), horizon)
 
 
-def simulate_timechange_renewal(spec, lam, horizon, rng, min_jumps=1):
+def simulate_timechange_renewal(spec, lam, horizon, rng):
     """Simulate the time-changed counting process's jump times exactly.
 
     Draws rate-lam Poisson arrival times V_1 < V_2 < ... and maps them
@@ -194,12 +192,12 @@ def simulate_timechange_renewal(spec, lam, horizon, rng, min_jumps=1):
         for d in np.cumsum(spec.increments(dts, gen)) + tau:
             tau = _next_jump(tau, float(d))
             taus.append(tau)
-            if tau > horizon and len(taus) >= min_jumps:
+            if tau > horizon:
                 return RenewalPath(tuple(taus), horizon)
         v_last = float(arrivals[-1])
 
 
-def simulate_ctrw(spec, lam, jumps, horizon, rng, min_jumps=1):
+def simulate_ctrw(spec, lam, jumps, horizon, rng):
     """Simulate a continuous-time random walk driven by the time change.
 
     Renewal times come from ``simulate_timechange_renewal``; jump sizes
@@ -209,7 +207,7 @@ def simulate_ctrw(spec, lam, jumps, horizon, rng, min_jumps=1):
     if not isinstance(jumps, JumpDist):
         raise DomainError(f"jumps must be a JumpDist, got {type(jumps)!r}")
     gen = _generator(rng)
-    renewal = simulate_timechange_renewal(spec, lam, horizon, gen, min_jumps=min_jumps)
+    renewal = simulate_timechange_renewal(spec, lam, horizon, gen)
     k = len(renewal.jump_times)
     sizes = gen.choice(jumps.locations, size=k, p=jumps.probabilities)
     return CTRWPath(renewal.jump_times, tuple(float(s) for s in sizes), horizon)
@@ -296,15 +294,12 @@ def lemma1_check(d, n_t=None):
         n_t = len(times)
     t_grid = np.linspace(values[0], values[-1], n_t, endpoint=False)
     e_vals = np.asarray(inverse_path_on_grid(d, t_grid).values)
-    worst = 0.0
-    for i in range(1, len(times)):
-        r = times[i]
-        below = t_grid[e_vals < r]
-        if below.size == 0:
-            continue
-        sup_t = below[-1]
-        worst = max(worst, abs(values[i - 1] - sup_t))
-    return worst
+    # E is nondecreasing, so {t : E(t) < r} is the grid prefix t_grid[:k]
+    # and its supremum is t_grid[k - 1]; an empty prefix (k = 0) is skipped
+    k = np.searchsorted(e_vals, times[1:], side="left")
+    hit = k > 0
+    gaps = np.abs(values[:-1][hit] - t_grid[k[hit] - 1])
+    return float(gaps.max()) if gaps.size else 0.0
 
 
 # ---------------------------------------------------------------------------

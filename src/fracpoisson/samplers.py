@@ -95,6 +95,28 @@ def _uniform_open(gen, n):
         u[bad] = gen.random(int(bad.sum()))
 
 
+def _tilted(gen, n, a, propose, what):
+    """n draws of the proposal law tilted by exp(-a x), by rejection.
+
+    Each round calls ``propose(k)`` for the k pending draws first, then
+    draws k uniforms; a proposal x is kept with probability exp(-a x).
+    """
+    out = np.empty(n)
+    pending = np.arange(n)
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        if pending.size == 0:
+            break
+        x = propose(pending.size)
+        accept = gen.random(pending.size) < np.exp(-a * x)
+        out[pending[accept]] = x[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise SamplingError(
+            f"{what} rejection did not terminate within the iteration cap"
+        )
+    return out
+
+
 def _stable_unit(gen, beta, n):
     u = math.pi * _uniform_open(gen, n)
     w = gen.standard_exponential(n)
@@ -172,20 +194,11 @@ def sample_tempered_stable_increment(beta, a, dt, rng, size=None):
     chunk_dt = dt / n_chunks
     scale = chunk_dt ** (1.0 / beta)
 
-    m = n * n_chunks
-    out = np.empty(m)
-    pending = np.arange(m)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
-            break
-        x = scale * _stable_unit(gen, beta, pending.size)
-        accept = gen.random(pending.size) < np.exp(-a * x)
-        out[pending[accept]] = x[accept]
-        pending = pending[~accept]
-    else:
-        raise SamplingError(
-            "tempered-stable rejection did not terminate within the iteration cap"
-        )
+    out = _tilted(
+        gen, n * n_chunks, a,
+        lambda k: scale * _stable_unit(gen, beta, k),
+        "tempered-stable",
+    )
     return _pack(out.reshape(n, n_chunks).sum(axis=1), size)
 
 
@@ -209,23 +222,12 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
             f"got lam={lam}, a**beta={a ** beta}"
         )
     gen = _generator(rng)
-    n = _count(size)
-    out = np.empty(n)
-    pending = np.arange(n)
-    for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
-            break
-        w = gen.standard_exponential(pending.size)
-        d = _stable_unit(gen, beta, pending.size)
-        j = eta ** (-1.0 / beta) * w ** (1.0 / beta) * d
-        accept = gen.random(pending.size) < np.exp(-a * j)
-        out[pending[accept]] = j[accept]
-        pending = pending[~accept]
-    else:
-        raise SamplingError(
-            "tempered waiting-time rejection did not terminate within the iteration cap"
-        )
-    return _pack(out, size)
+
+    def propose(k):
+        w = gen.standard_exponential(k)
+        return eta ** (-1.0 / beta) * w ** (1.0 / beta) * _stable_unit(gen, beta, k)
+
+    return _pack(_tilted(gen, _count(size), a, propose, "tempered waiting-time"), size)
 
 
 def sample_inverse_stable_marginal(beta, t, rng, size=None):

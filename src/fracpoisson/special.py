@@ -141,10 +141,12 @@ def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
     deep = np.nonzero(ln_env < math.log(1e-18))[0]
     if deep.size:
         kstar = min(kstar, int(deep[0]))
+    # float(): a term whose 1/Gamma overflows turns inf or nan without a
+    # numpy warning; a caller that can reach such terms checks the sum
     terms = [
         (-1.0) ** k
         * math.exp(gammaln(g + k) - gammaln(g) - gammaln(k + 1.0) - (h + k) * lx)
-        * rgamma(theta - alpha * (h + k))
+        * float(rgamma(theta - alpha * (h + k)))
         for k in range(kstar + 1)
     ]
     return math.fsum(terms), float(np.min(ln_env))

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import kolmogorov
 
 from .distributions import (
     distributed_order_survival_kochubei,
@@ -25,16 +26,12 @@ from .distributions import (
 )
 from .errors import DomainError
 from .fraccalc import SampledFunction, caputo, governing_residual
-from .processes import (
-    ctrw_prelimit_bernoulli,
-    simulate_ctrw,
-    simulate_fpp,
-    simulate_timechange_renewal,
-)
+from .processes import ctrw_prelimit_bernoulli, simulate_ctrw
 from .samplers import (
     RngStream,
     sample_brownian_running_max,
     sample_inverse_stable_marginal,
+    sample_ml_waiting,
     sample_tempered_ml_waiting,
 )
 from .special import ml_one, prabhakar
@@ -50,10 +47,6 @@ from .transforms import (
     laplace_invert,
 )
 
-# A horizon small enough that every path returns right after min_jumps;
-# used when only the first waiting times of a construction are needed.
-_TINY_HORIZON = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # two-sample Kolmogorov-Smirnov test
@@ -67,19 +60,6 @@ class KSResult:
     p_value: float
     n1: int
     n2: int
-
-
-def _kolmogorov_sf(x):
-    """Survival function 2 sum_j (-1)**(j-1) exp(-2 j**2 x**2), clipped."""
-    if x <= 0.0:
-        return 1.0
-    total = 0.0
-    for j in range(1, 101):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * x * x)
-        total += term
-        if abs(term) < 1e-12:
-            break
-    return min(max(total, 0.0), 1.0)
 
 
 def ks_two_sample(a, b):
@@ -107,7 +87,7 @@ def ks_two_sample(a, b):
     cdf_b = np.searchsorted(b, grid, side="right") / n2
     stat = float(np.max(np.abs(cdf_a - cdf_b)))
     effective = math.sqrt(n1 * n2 / (n1 + n2))
-    return KSResult(stat, _kolmogorov_sf(stat * effective), n1, n2)
+    return KSResult(stat, float(kolmogorov(stat * effective)), n1, n2)
 
 
 def empirical_laplace(samples, s):
@@ -175,19 +155,15 @@ def _case(name, observed, threshold, higher_passes=False):
 # suite building blocks
 # ---------------------------------------------------------------------------
 
-def _first_waits_fpp(beta, lam, n_paths, stream):
-    out = np.empty(n_paths)
-    for i in range(n_paths):
-        out[i] = simulate_fpp(beta, lam, _TINY_HORIZON, stream).jump_times[0]
-    return out
+def _first_epochs(spec, lam, n, rng):
+    """D(V_1) with V_1 ~ Exp(lam) for n independent paths.
 
-
-def _first_waits_timechange(spec, lam, n_paths, stream):
-    out = np.empty(n_paths)
-    for i in range(n_paths):
-        path = simulate_timechange_renewal(spec, lam, _TINY_HORIZON, stream)
-        out[i] = path.jump_times[0]
-    return out
+    This is the first jump epoch of the time-changed count N(E(t)): the
+    Poisson clock first rings at V_1, and the inverse subordinator E
+    first reaches V_1 at time D(V_1).
+    """
+    gen = rng.generator
+    return spec.increments(gen.standard_exponential(n) / lam, gen)
 
 
 def _suite_theorem22(seed, base):
@@ -196,26 +172,23 @@ def _suite_theorem22(seed, base):
     n = 100_000
     lam = 1.0
     for i, beta in enumerate((0.3, 0.5, 0.7, 0.9)):
-        a = _first_waits_fpp(beta, lam, n, RngStream(seed, base + 2 * i))
-        b = _first_waits_timechange(
-            Stable(beta), lam, n, RngStream(seed, base + 2 * i + 1)
-        )
+        a = sample_ml_waiting(beta, lam, RngStream(seed, base + 2 * i), size=n)
+        b = _first_epochs(Stable(beta), lam, n, RngStream(seed, base + 2 * i + 1))
         res = ks_two_sample(a, b)
         cases.append(
             _case(f"ks_first_waiting_beta{beta:g}", res.p_value, 0.01,
                   higher_passes=True)
         )
     # joint transform of the first two jump epochs of the time-change
-    # construction: E[exp(-tau1 - tau2)] = lam**2 / ((lam+psi(2))(lam+psi(1)))
+    # construction, tau1 = D(V_1) and tau2 = tau1 + D'(V_2 - V_1) with an
+    # independent copy D': E[exp(-tau1 - tau2)] =
+    # lam**2 / ((lam+psi(2))(lam+psi(1)))
     spec = Stable(0.5)
     stream = RngStream(seed, base + 8)
     m = 20_000
-    vals = np.empty(m)
-    for i in range(m):
-        jt = simulate_timechange_renewal(
-            spec, lam, _TINY_HORIZON, stream, min_jumps=2
-        ).jump_times
-        vals[i] = math.exp(-jt[0] - jt[1])
+    tau1 = _first_epochs(spec, lam, m, stream)
+    tau2 = tau1 + _first_epochs(spec, lam, m, stream)
+    vals = np.exp(-tau1 - tau2)
     target = lam * lam / (
         (lam + laplace_exponent(spec, 2.0)) * (lam + laplace_exponent(spec, 1.0))
     )
@@ -377,10 +350,8 @@ def _suite_tempered(seed, base):
     direct = sample_tempered_ml_waiting(
         beta, a, lam, RngStream(seed, base + 1), size=100_000
     )
-    via_paths = _first_waits_timechange(
-        spec, lam, 100_000, RngStream(seed, base + 2)
-    )
-    res = ks_two_sample(direct, via_paths)
+    via_timechange = _first_epochs(spec, lam, 100_000, RngStream(seed, base + 2))
+    res = ks_two_sample(direct, via_timechange)
     cases.append(
         _case("ks_tempered_timechange", res.p_value, 0.01, higher_passes=True)
     )
@@ -398,7 +369,7 @@ def _suite_distributed(seed, base):
         cases.append(_case(f"kochubei_vs_lt_t{t:g}", abs(spectral - inverted), 1e-4))
     mix = StableMixture((0.5, 0.5), (0.3, 0.7))
     n = 20_000
-    waits = _first_waits_timechange(mix, lam, n, RngStream(seed, base))
+    waits = _first_epochs(mix, lam, n, RngStream(seed, base))
     for t in (0.5, 1.0):
         p_emp = float(np.mean(waits > t))
         target = waiting_survival_general(mix, lam, t)

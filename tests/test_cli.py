@@ -10,6 +10,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -125,6 +126,25 @@ class TestPmf:
         )
         assert code == 0
         assert target.read_text().splitlines()[1] == "n,prob"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--beta", "0.7", "--lambda", "5", "--t", "50"],
+         ["--beta", "0.5", "--lambda", "1", "--t", "30"]],
+    )
+    def test_numerical_trouble_is_not_a_usage_error(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, _ = run_cli(["pmf"] + argv, capsys)
+        assert code in (0, 1)
+
+    def test_table_missing_normalization_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr("fracpoisson.distributions.fpp_pmf", lambda *args: 0.0)
+        code, _, err = run_cli(
+            ["pmf", "--beta", "0.5", "--lambda", "1", "--t", "1"], capsys
+        )
+        assert code == 1
+        assert "error:" in err
 
     def test_requires_beta_or_spec(self, capsys):
         code, _, err = run_cli(["pmf", "--lambda", "1", "--t", "1"], capsys)

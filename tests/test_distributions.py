@@ -32,7 +32,7 @@ from fracpoisson.distributions import (
     stable_unit_density,
     waiting_survival_general,
 )
-from fracpoisson.errors import DomainError
+from fracpoisson.errors import DomainError, EvaluationError
 from fracpoisson.special import ml_one
 from fracpoisson.transforms import (
     DistributedOrder,
@@ -107,6 +107,18 @@ class TestFppPmf:
         assert fpp_pmf(0.5, 1.0, 1000.0, 250) == pytest.approx(
             1.275466793881e-08, abs=2e-9
         )
+
+    def test_far_tail_overflow_reroutes(self):
+        # the far-tail series overflows for these n; no NaN, ValueError or
+        # numpy warning may leak out of the reroute
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in range(218, 270):
+                try:
+                    value = fpp_pmf(0.7, 5.0, 50.0, n)
+                except EvaluationError:
+                    continue
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, n
 
     def test_n_zero_is_ml_survival(self):
         for beta, lam, t in [(0.5, 1.0, 1.0), (0.7, 2.0, 3.0), (0.3, 1.0, 50.0)]:
@@ -381,6 +393,14 @@ class TestPmfTable:
             PmfTable(1.0, {}, ((0, -0.1), (1, 1.1)), 0.0)
         with pytest.raises(DomainError):
             PmfTable(1.0, {}, ((0, 0.4), (1, 0.4)), 0.0)  # mass unaccounted
+
+    def test_computed_rows_missing_mass_are_evaluation_errors(self, monkeypatch):
+        monkeypatch.setattr("fracpoisson.distributions.fpp_pmf", lambda *args: 0.0)
+        monkeypatch.setattr("fracpoisson.distributions.general_pmf", lambda *args: 0.0)
+        with pytest.raises(EvaluationError):
+            fpp_pmf_table(0.5, 1.0, 1.0)
+        with pytest.raises(EvaluationError):
+            general_pmf_table(TemperedStable(0.5, 1.0), 1.0, 1.0)
 
     def test_csv_and_json_carry_identical_numbers(self):
         table = fpp_pmf_table(0.5, 1.0, 1.0)

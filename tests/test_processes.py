@@ -37,7 +37,7 @@ from fracpoisson.transforms import (
 from fracpoisson.validation import ks_two_sample
 
 SEED = 31415926
-TINY = 1e-9  # horizon small enough that only min_jumps jumps are produced
+TINY = 1e-9  # horizon small enough that each path stops at its first jump
 
 
 def empirical_count_tv(counts, beta, lam, t):
@@ -96,10 +96,6 @@ class TestSimulateFpp:
         assert times[0] > 0.0
         assert np.all(np.diff(times) > 0.0)
         assert times[-1] > path.horizon  # first overshoot retained
-
-    def test_min_jumps(self):
-        path = simulate_fpp(0.5, 1.0, TINY, RngStream(SEED, 1), min_jumps=5)
-        assert len(path.jump_times) >= 5
 
     def test_first_wait_survival_golden(self):
         # P(J > 1) = E_{1/2}(-1) at lam = 1
@@ -195,12 +191,6 @@ class TestTimechangeRenewal:
             simulate_timechange_renewal(
                 DistributedOrder((1.0,)), 1.0, 1.0, RngStream(SEED)
             )
-
-    def test_min_jumps(self):
-        path = simulate_timechange_renewal(
-            Stable(0.5), 1.0, TINY, RngStream(SEED, 8), min_jumps=4
-        )
-        assert len(path.jump_times) >= 4
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

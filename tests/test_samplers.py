@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from fracpoisson.errors import DomainError, UnsupportedSamplingError
+from fracpoisson.errors import DomainError, SamplingError, UnsupportedSamplingError
 from fracpoisson.samplers import (
     RngStream,
     sample_brownian_running_max,
@@ -215,6 +215,13 @@ class TestTemperedSamplers:
         target = beta * a ** (beta - 1.0) / lam
         se = float(np.std(draws, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(draws)) - target) <= 4.0 * se
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr("fracpoisson.samplers._MAX_REJECTION_ROUNDS", 0)
+        with pytest.raises(SamplingError):
+            sample_tempered_stable_increment(0.5, 1.0, 1.0, RngStream(SEED))
+        with pytest.raises(SamplingError):
+            sample_tempered_ml_waiting(0.5, 1.0, 2.0, RngStream(SEED))
 
     def test_rate_convention_guard(self):
         # lam <= a**beta leaves no mass for the tempered law
