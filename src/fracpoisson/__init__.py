@@ -9,167 +9,21 @@ the governing equations, and a validation module that wires every
 closed-form identity into executable statistical suites.
 """
 
-from .distributions import (
-    PmfTable,
-    distributed_order_survival_kochubei,
-    fpp_pmf,
-    fpp_pmf_mixture,
-    fpp_pmf_table,
-    general_pmf,
-    general_pmf_table,
-    inverse_stable_density,
-    inverse_stable_density_quadrature,
-    pmf_laplace,
-    renewal_mean,
-    stable_unit_density,
-    waiting_survival_general,
-)
-from .errors import (
-    DomainError,
-    EvaluationError,
-    OffGridError,
-    ResolutionError,
-    SamplingError,
-    TruncationError,
-    UnsupportedSamplingError,
-)
-from .fraccalc import (
-    SampledFunction,
-    caputo,
-    distributed_order_deriv,
-    governing_residual,
-    riemann_liouville,
-)
-from .processes import (
-    CTRWPath,
-    GridPath,
-    RenewalPath,
-    ctrw_prelimit_bernoulli,
-    inverse_path_on_grid,
-    lemma1_check,
-    paths_from_csv,
-    paths_to_csv,
-    simulate_ctrw,
-    simulate_fpp,
-    simulate_timechange_renewal,
-)
-from .samplers import (
-    RngStream,
-    sample_brownian_running_max,
-    sample_inverse_stable_marginal,
-    sample_ml_waiting,
-    sample_stable_increment,
-    sample_stable_unit,
-    sample_subordinator_at,
-    sample_tempered_ml_waiting,
-    sample_tempered_stable_increment,
-)
-from .special import SeriesControl, ml_one, ml_waiting_pdf, ml_waiting_survival, prabhakar
-from .transforms import (
-    DistributedOrder,
-    JumpDist,
-    Stable,
-    StableMixture,
-    SubordinatorSpec,
-    TemperedStable,
-    bern_identity_check,
-    laplace_exponent,
-    laplace_forward,
-    laplace_invert,
-    levy_tail,
-    spec_from_json,
-    spec_to_json,
-)
-from .validation import (
-    SUITE_NAMES,
-    KSResult,
-    SuiteCase,
-    SuiteReport,
-    empirical_laplace,
-    ks_two_sample,
-    run_suite,
-)
+from . import distributions, errors, fraccalc, processes, samplers, special, transforms, validation
+from .distributions import *
+from .errors import *
+from .fraccalc import *
+from .processes import *
+from .samplers import *
+from .special import *
+from .transforms import *
+from .validation import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "DomainError",
-    "EvaluationError",
-    "SamplingError",
-    "UnsupportedSamplingError",
-    "TruncationError",
-    "OffGridError",
-    "ResolutionError",
-    # special functions
-    "SeriesControl",
-    "ml_one",
-    "prabhakar",
-    "ml_waiting_survival",
-    "ml_waiting_pdf",
-    # subordinator specs and transforms
-    "SubordinatorSpec",
-    "Stable",
-    "TemperedStable",
-    "StableMixture",
-    "DistributedOrder",
-    "JumpDist",
-    "spec_to_json",
-    "spec_from_json",
-    "laplace_exponent",
-    "levy_tail",
-    "laplace_forward",
-    "laplace_invert",
-    "bern_identity_check",
-    # samplers
-    "RngStream",
-    "sample_stable_unit",
-    "sample_stable_increment",
-    "sample_ml_waiting",
-    "sample_tempered_stable_increment",
-    "sample_tempered_ml_waiting",
-    "sample_inverse_stable_marginal",
-    "sample_brownian_running_max",
-    "sample_subordinator_at",
-    # processes
-    "RenewalPath",
-    "CTRWPath",
-    "GridPath",
-    "simulate_fpp",
-    "simulate_timechange_renewal",
-    "simulate_ctrw",
-    "ctrw_prelimit_bernoulli",
-    "inverse_path_on_grid",
-    "lemma1_check",
-    "paths_to_csv",
-    "paths_from_csv",
-    # distributions
-    "fpp_pmf",
-    "pmf_laplace",
-    "general_pmf",
-    "waiting_survival_general",
-    "distributed_order_survival_kochubei",
-    "stable_unit_density",
-    "inverse_stable_density",
-    "inverse_stable_density_quadrature",
-    "fpp_pmf_mixture",
-    "renewal_mean",
-    "PmfTable",
-    "fpp_pmf_table",
-    "general_pmf_table",
-    # fractional calculus
-    "SampledFunction",
-    "caputo",
-    "riemann_liouville",
-    "distributed_order_deriv",
-    "governing_residual",
-    # validation
-    "KSResult",
-    "ks_two_sample",
-    "empirical_laplace",
-    "SuiteCase",
-    "SuiteReport",
-    "run_suite",
-    "SUITE_NAMES",
+# the public API is the union of the layers' own __all__ lists
+__all__ = ["__version__"] + [
+    name
+    for layer in (errors, special, transforms, samplers, processes, distributions, fraccalc, validation)
+    for name in layer.__all__
 ]

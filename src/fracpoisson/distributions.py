@@ -12,6 +12,7 @@ the one-sided stable density.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -31,6 +32,8 @@ from .special import (
 from .transforms import (
     DistributedOrder,
     Stable,
+    _talbot_contour,
+    _talbot_result,
     laplace_exponent,
     laplace_invert,
     spec_to_json,
@@ -260,39 +263,40 @@ def waiting_survival_general(spec, lam, t):
 # distributed-order survival, spectral route
 # ---------------------------------------------------------------------------
 
-def _weight_callable(p):
-    if isinstance(p, DistributedOrder):
-        return p.weight
-    if callable(p):
-        return p
+def _order_derivatives(p):
+    """p^(j)(0) and p^(j)(1), j = 0..deg, for a DistributedOrder or its coefficients."""
     try:
-        return DistributedOrder(poly=tuple(p)).weight
-    except TypeError:
+        spec = p if isinstance(p, DistributedOrder) else DistributedOrder(tuple(p))
+    except (TypeError, ValueError):
         raise DomainError(
-            "weight must be a DistributedOrder spec, polynomial coefficients, "
-            "or a callable on (0, 1)"
+            "weight must be a DistributedOrder spec or polynomial coefficients"
         ) from None
+    coef, at0, at1 = list(spec.poly), [], []
+    while coef:
+        at0.append(coef[0])
+        at1.append(math.fsum(coef))
+        coef = [k * a for k, a in enumerate(coef)][1:]
+    return at0, at1
 
 
-def _kochubei_ab(pfunc, u):
-    """A(r) + i B(r) = int_0^1 r**beta exp(i pi beta) p(beta) dbeta, r = exp(-u)."""
-    pieces = [0.0, 1.0]
-    if u > 2.0:
-        # integrand mass concentrates in a 1/u neighborhood of 0
-        pieces = sorted({0.0, min(1.0 / u, 1.0), min(10.0 / u, 1.0), 1.0})
-    re = im = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        r_val, _ = integrate.quad(
-            lambda b: pfunc(b) * math.exp(-b * u) * math.cos(math.pi * b),
-            lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200,
-        )
-        i_val, _ = integrate.quad(
-            lambda b: pfunc(b) * math.exp(-b * u) * math.sin(math.pi * b),
-            lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200,
-        )
-        re += r_val
-        im += i_val
-    return re, im
+def _kochubei_inner(at0, at1, u):
+    """(S1, S0) with A(r) + i B(r) = exp(-u) S1 + S0, r = exp(-u).
+
+    A + i B = int_0^1 p(beta) exp(c beta) dbeta with c = -u + i pi, and
+    exp(c) = -exp(-u).  Integrating by parts until p is used up gives
+
+        sum_j (-1)**j (p^(j)(1) exp(c) - p^(j)(0)) / c**(j+1),
+
+    exact for a polynomial p and free of small divisors since |c| >= pi.
+    The sum is taken by Horner's rule in -1/c, split by the exp(-u)
+    factor so that the caller can scale it out.
+    """
+    inv_c = 1.0 / complex(-u, math.pi)
+    s0 = s1 = 0j
+    for a0, a1 in zip(reversed(at0), reversed(at1)):
+        s0 = a0 - s0 * inv_c
+        s1 = a1 - s1 * inv_c
+    return -s1 * inv_c, -s0 * inv_c
 
 
 def distributed_order_survival_kochubei(p, lam, t):
@@ -304,40 +308,45 @@ def distributed_order_survival_kochubei(p, lam, t):
         P(J > t) = (lam/pi) int_0^inf r**-1 exp(-t r)
                    B(r) / ((A(r) + lam)**2 + B(r)**2) dr,
 
-    where A and B are the real and imaginary parts of the analytically
-    continued Laplace exponent at s = r exp(i pi).  The r-integral runs
+    where A + i B = int_0^1 r**beta exp(i pi beta) p(beta) dbeta is the
+    analytically continued Laplace exponent at s = r exp(i pi).  ``p``
+    is a ``DistributedOrder`` spec or its polynomial coefficients; for a
+    polynomial order density the beta-integral has a closed form (see
+    ``_kochubei_inner``), so only the r-integral is numerical.  It runs
     on the log axis with a 1/u substitution for the slowly decaying
-    r -> 0 end.
+    r -> 0 end, and the result is accurate to about 1e-12.
     """
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t}")
     if not lam > 0.0:
         raise DomainError(f"rate must be positive, got {lam}")
-    pfunc = _weight_callable(p)
+    at0, at1 = _order_derivatives(p)
+    ln_t = math.log(t)
 
     def outer(u):
-        damp = -t * math.exp(-u)
+        damp = -math.exp(ln_t - u)
         if damp < -700.0:
             return 0.0
-        a, b = _kochubei_ab(pfunc, u)
-        return math.exp(damp) * b / ((a + lam) ** 2 + b ** 2)
+        s1, s0 = _kochubei_inner(at0, at1, u)
+        # B / ((A + lam)**2 + B**2) = -Im 1/(A + lam + i B), with the
+        # exp(-u) factor divided out where it is large
+        if u >= 0.0:
+            q = 1.0 / (math.exp(-u) * s1 + s0 + lam)
+        else:
+            g = math.exp(u)
+            q = g / (s1 + g * (s0 + lam))
+        return -math.exp(damp) * q.imag
 
-    u_lo = math.log(t) - 10.0
-    u_mid = 50.0
-    total = 0.0
-    err = 0.0
-    val, e = integrate.quad(
-        outer, u_lo, u_mid, epsabs=1e-13, epsrel=1e-11, limit=400
-    )
-    total += val
-    err += e
-    # r -> 0 tail: substitute u = 1/v; integrand ~ p(0) pi / lam**2 near v=0
-    val, e = integrate.quad(
-        lambda v: outer(1.0 / v) / v ** 2,
-        0.0, 1.0 / u_mid, epsabs=1e-13, epsrel=1e-11, limit=400,
-    )
-    total += val
-    err += e
+    total = err = 0.0
+    # the r -> 0 tail beyond u = 50 runs in v = 1/u, where the integrand
+    # tends to p(0) pi / lam**2
+    for f, lo, hi in (
+        (outer, ln_t - 10.0, 50.0),
+        (lambda v: outer(1.0 / v) / v ** 2, 0.0, 1.0 / 50.0),
+    ):
+        val, e = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)
+        total += val
+        err += e
     result = lam / math.pi * total
     if err * lam / math.pi > 1e-6:
         raise EvaluationError(
@@ -395,13 +404,29 @@ def stable_unit_density(beta, v):
     return out
 
 
+_DENSITY_RULES = (32, 28)  # node counts of the two Talbot rules that must agree
+
+
+@functools.lru_cache(maxsize=16)
+def _density_contour(beta, t):
+    """log(g_k s_k**(beta-1)), s_k**beta and (beta-1) log|s_k| over the
+    nodes of each rule in _DENSITY_RULES in turn, for the transform
+    s**(beta-1) exp(-x s**beta) of h(x, t)."""
+    rules = [_talbot_contour(t, m) for m in _DENSITY_RULES]
+    ln_s = np.log(np.concatenate([s for s, _ in rules]))
+    ln_g = np.log(np.concatenate([g for _, g in rules]))
+    return ln_g + (beta - 1.0) * ln_s, np.exp(beta * ln_s), (beta - 1.0) * ln_s.real
+
+
 def inverse_stable_density(beta, x, t):
     """Density h(x, t) of the inverse stable subordinator E(t) in x.
 
     beta = 1/2: first-passage quadrature with the closed half-order
     forms (cross-checked against exp(-x**2/(4t))/sqrt(pi t)); other
     beta: fixed-Talbot inversion of the transform s**(beta-1)
-    exp(-x s**beta) in s -> t.
+    exp(-x s**beta) in s -> t, on the contour that ``laplace_invert``
+    uses, with the terms of a 32-node and a 28-node rule evaluated as
+    one array.
     """
     if not 0.0 < beta < 1.0:
         raise DomainError(f"stability index must lie in (0, 1), got {beta}")
@@ -411,13 +436,14 @@ def inverse_stable_density(beta, x, t):
         raise DomainError(f"time must be positive, got {t}")
     if beta == 0.5:
         return inverse_stable_density_quadrature(beta, x, t)
-
-    def transform(s):
-        w = (beta - 1.0) * _clog(s) - x * _cexp(beta * _clog(s))
-        if w.real > 700.0:
-            raise EvaluationError("transform overflows on the contour")
-        return _cexp(w)
-
+    ln_factor, s_beta, ln_power = _density_contour(beta, t)
+    xs = x * s_beta
+    expo = ln_factor - xs
+    # The transform overflowing on the contour (Re w > 700), or a term as
+    # large as that, leaves nothing the noise guard would accept.
+    if (ln_power - xs.real).max() > 700.0 or expo.real.max() > 700.0:
+        return inverse_stable_density_quadrature(beta, x, t)
+    terms = np.exp(expo)
     # In the far field (x well past the bulk of h(., t)) the true value
     # sits below what the contour sum can resolve: both roundoff and the
     # M-term discretization error dwarf it.  Roundoff is caught by the
@@ -425,8 +451,10 @@ def inverse_stable_density(beta, x, t):
     # agree.  Either failure reroutes to the first-passage quadrature,
     # which stays accurate at any x.
     try:
-        v32 = laplace_invert(transform, t, method="talbot", noise_floor=1e-9)
-        v28 = laplace_invert(transform, t, method="talbot", terms=28, noise_floor=1e-9)
+        v32, v28 = (
+            _talbot_result(float(part.real.sum()), float(np.abs(part).max()), t, 1e-9)
+            for part in np.split(terms, [_DENSITY_RULES[0]])
+        )
     except EvaluationError:
         return inverse_stable_density_quadrature(beta, x, t)
     if abs(v32 - v28) > max(1e-9, 1e-7 * abs(v32)):
@@ -500,13 +528,16 @@ def fpp_pmf_mixture(beta, lam, t, n):
     # near n/lam.  Split at both scales so the adaptive rule sees them.
     marks = sorted({t ** beta, max(n, 1) / lam})
     total = 0.0
-    lo = 0.0
-    for m in marks:
-        val, _ = integrate.quad(integrand, lo, m, epsabs=1e-11, epsrel=1e-9, limit=200)
+    err = 0.0
+    for lo, hi in zip([0.0] + marks, marks + [np.inf]):
+        val, e = integrate.quad(integrand, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
         total += val
-        lo = m
-    val, _ = integrate.quad(integrand, lo, np.inf, epsabs=1e-11, epsrel=1e-9, limit=200)
-    total += val
+        err += e
+    if not (math.isfinite(total) and -err <= total <= 1.0 + err):
+        raise EvaluationError(
+            f"mixture pmf {total} outside [0, 1] beyond its error estimate {err:.2e}",
+            partial=total,
+        )
     return min(max(total, 0.0), 1.0)
 
 

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "EvaluationError",
+    "SamplingError",
+    "UnsupportedSamplingError",
+    "TruncationError",
+    "OffGridError",
+    "ResolutionError",
+]
+
 
 class DomainError(ValueError):
     """A parameter or argument lies outside the supported domain."""

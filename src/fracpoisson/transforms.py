@@ -36,6 +36,7 @@ which exercises the exponent and the tail through independent code paths.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import warnings
@@ -606,25 +607,28 @@ def _invert_stehfest(F, t, terms, noise_floor):
     return result
 
 
-def _invert_talbot(F, t, terms, noise_floor):
-    # fixed-Talbot contour s(theta) = r theta (cot theta + i), r = 2M/(5t)
-    M = terms
+@functools.lru_cache(maxsize=16)
+def _talbot_contour(t, M):
+    """Nodes s_k and weights g_k of the M-node fixed-Talbot rule at time t:
+    s(theta) = r theta (cot theta + i), r = 2M/(5t), and the inverse is
+    (2/(5t)) sum_k Re(g_k F(s_k))."""
     r = 2.0 * M / (5.0 * t)
     s0 = complex(r, 0.0)
-    f0 = F(s0)
-    term = 0.5 * cmath.exp(t * s0) * f0
-    acc = term.real
-    max_term = abs(term)
+    nodes = [s0]
+    weights = [0.5 * cmath.exp(t * s0)]
     for k in range(1, M):
         theta = k * math.pi / M
         cot = math.cos(theta) / math.sin(theta)
         sk = r * theta * complex(cot, 1.0)
-        gamma = cmath.exp(t * sk) * complex(
-            1.0 + theta * (1.0 + cot * cot) * 1j - cot * 1j
+        nodes.append(sk)
+        weights.append(
+            cmath.exp(t * sk) * complex(1.0 + theta * (1.0 + cot * cot) * 1j - cot * 1j)
         )
-        term = gamma * F(sk)
-        acc += term.real
-        max_term = max(max_term, abs(term))
+    return tuple(nodes), tuple(weights)
+
+
+def _talbot_result(acc, max_term, t, noise_floor):
+    """Scale a Talbot contour sum, or raise when it is not to be trusted."""
     result = (2.0 / (5.0 * t)) * acc
     if not math.isfinite(result):
         raise EvaluationError(
@@ -642,6 +646,18 @@ def _invert_talbot(F, t, terms, noise_floor):
             partial=result,
         )
     return result
+
+
+def _invert_talbot(F, t, terms, noise_floor):
+    nodes, weights = _talbot_contour(t, terms)
+    term = weights[0] * F(nodes[0])
+    acc = term.real
+    max_term = abs(term)
+    for sk, gk in zip(nodes[1:], weights[1:]):
+        term = gk * F(sk)
+        acc += term.real
+        max_term = max(max_term, abs(term))
+    return _talbot_result(acc, max_term, t, noise_floor)
 
 
 def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):

@@ -47,6 +47,16 @@ from .transforms import (
     laplace_invert,
 )
 
+__all__ = [
+    "KSResult",
+    "ks_two_sample",
+    "empirical_laplace",
+    "SuiteCase",
+    "SuiteReport",
+    "run_suite",
+    "SUITE_NAMES",
+]
+
 
 # ---------------------------------------------------------------------------
 # two-sample Kolmogorov-Smirnov test

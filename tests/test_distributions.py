@@ -9,6 +9,7 @@ stable density and the first-passage scaling relation.
 
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from fracpoisson import distributions
 from fracpoisson.distributions import (
     PmfTable,
     distributed_order_survival_kochubei,
@@ -273,6 +275,81 @@ class TestKochubeiSurvival:
             distributed_order_survival_kochubei(3.5, 1.0, 1.0)
 
 
+class TestKochubeiClosedForm:
+    """The spectral route with the beta-integral in closed form."""
+
+    # mpmath fixed-Talbot inversion of the uniform-weight survival
+    # transform, equal at 30 and 45 digits
+    @pytest.mark.parametrize(
+        "t, expected",
+        [
+            (0.5, 0.50689475322824089),
+            (1.0, 0.41030550159102619),
+            (2.0, 0.33557712239695253),
+        ],
+    )
+    def test_uniform_weight_matches_mpmath(self, t, expected):
+        got = distributed_order_survival_kochubei(DistributedOrder((1.0,)), 1.0, t)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("poly", [(0.0, 2.0), (0.2, 1.0, 0.6, 0.3)])
+    @pytest.mark.parametrize("lam, t", [(1.0, 0.3), (1.0, 1.0), (2.5, 4.0)])
+    def test_agrees_with_laplace_inversion(self, poly, lam, t):
+        spectral = distributed_order_survival_kochubei(poly, lam, t)
+        inverted = waiting_survival_general(DistributedOrder(poly), lam, t)
+        assert abs(spectral - inverted) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            (1.0,),
+            (0.0, 2.0),
+            (3.0, -6.0, 3.0),
+            (0.2, 1.0, 0.6, 0.3),
+            (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+            (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.0),
+            (0.0, 0.0, 60.0, -180.0, 180.0, -60.0),  # 60 b**2 (1 - b)**3
+        ],
+    )
+    def test_inner_integral_matches_mpmath(self, poly):
+        # reference: int_0^1 b**k exp(c b) db = gamma(k+1, -c) / (-c)**(k+1)
+        # with mpmath's lower incomplete gamma at 30 digits, and mpmath.quad
+        # where tanh-sinh resolves the integrand (its mass sits within 1/u
+        # of 0 for large u, a layer quad misses at 1e-8 relative)
+        mpmath = pytest.importorskip("mpmath")
+        at0, at1 = distributions._order_derivatives(poly)
+        for u in (-12.0, 0.0, 2.0, 50.0, 1e3, 1e8):
+            s1, s0 = distributions._kochubei_inner(at0, at1, u)
+            got = math.exp(-u) * s1 + s0
+            with mpmath.workdps(30):
+                c = mpmath.mpc(-u, mpmath.pi)
+                ref = sum(
+                    a * mpmath.gammainc(k + 1, 0, -c) / (-c) ** (k + 1)
+                    for k, a in enumerate(poly)
+                )
+                if abs(u) <= 50.0:
+                    by_quad = mpmath.quad(
+                        lambda b: mpmath.polyval(poly[::-1], b) * mpmath.exp(c * b),
+                        [0, 1],
+                    )
+                    assert abs(by_quad - ref) <= 1e-25 * abs(ref)
+                ref = complex(ref)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+            assert abs(got.imag - ref.imag) <= 1e-13 * abs(ref.imag)
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-300])
+    def test_tiny_times_stay_in_the_package_contract(self, t):
+        try:
+            got = distributed_order_survival_kochubei(DistributedOrder((1.0,)), 1.0, t)
+        except EvaluationError:
+            return
+        assert 0.0 <= got <= 1.0
+
+    def test_rejects_callable_weight(self):
+        with pytest.raises(DomainError):
+            distributed_order_survival_kochubei(lambda b: 1.0, 1.0, 1.0)
+
+
 class TestStableUnitDensity:
     @pytest.mark.parametrize("beta, v, expected", STABLE_DENSITY_VALUES)
     def test_frozen_values(self, beta, v, expected):
@@ -338,6 +415,70 @@ class TestInverseStableDensity:
             inverse_stable_density(0.5, 1.0, 0.0)
 
 
+class TestInverseStableDensityArrayRoute:
+    """The contour sum over both Talbot rules as one array."""
+
+    # (beta, x, t) that reroute to the first-passage quadrature: the
+    # transform overflows on the contour, or the 32- and 28-node rules
+    # disagree
+    REROUTED = [
+        (0.6, 30.0, 0.5), (0.6, 100.0, 0.5), (0.6, 100.0, 2.0),
+        (0.9, 1.0, 0.5), (0.9, 3.0, 0.5), (0.9, 10.0, 0.5), (0.9, 30.0, 0.5),
+        (0.9, 100.0, 0.5), (0.9, 3.0, 2.0), (0.9, 10.0, 2.0), (0.9, 30.0, 2.0),
+        (0.9, 100.0, 2.0), (0.9, 30.0, 10.0), (0.9, 100.0, 10.0),
+    ]
+    KEPT = [(0.3, 30.0, 0.5), (0.6, 1.0, 2.0), (0.9, 3.0, 10.0), (0.3, 1e-3, 0.5)]
+
+    def test_seeded_sweep_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(beta, x, t, dps):
+            with mpmath.workdps(dps):
+                b = mpmath.mpf(beta)
+                return mpmath.invertlaplace(
+                    lambda s: s ** (b - 1) * mpmath.exp(-x * s**b), t, method="talbot"
+                )
+
+        rng = np.random.default_rng(20240611)
+        for _ in range(24):
+            beta = float(rng.choice([0.3, 0.4, 0.6, 0.7, 0.9]))
+            x = float(np.exp(rng.uniform(math.log(1e-3), math.log(30.0))))
+            t = float(rng.choice([0.5, 2.0, 10.0]))
+            ref30, ref40 = oracle(beta, x, t, 30), oracle(beta, x, t, 40)
+            assert abs(ref30 - ref40) <= 1e-20
+            ref = float(ref40)
+            got = inverse_stable_density(beta, x, t)
+            assert abs(got - ref) <= max(1e-9, 1e-7 * ref), (beta, x, t)
+
+    def test_far_field_reroutes_to_quadrature(self, monkeypatch):
+        calls = []
+        quadrature = distributions.inverse_stable_density_quadrature
+
+        def counted(*args):
+            calls.append(args)
+            return quadrature(*args)
+
+        monkeypatch.setattr(distributions, "inverse_stable_density_quadrature", counted)
+        for point in self.REROUTED:
+            inverse_stable_density(*point)
+        assert calls == self.REROUTED
+        calls.clear()
+        for point in self.KEPT:
+            inverse_stable_density(*point)
+        assert calls == []
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the first-passage quadrature under-resolves the narrow peak of "
+        "D(x) near y = x**(1/beta) at beta = 0.9 and small x",
+    )
+    def test_quadrature_route_small_x(self):
+        # mpmath fixed-Talbot at 30 and 45 digits; the contour route
+        # returns it within 3e-12
+        got = inverse_stable_density_quadrature(0.9, 0.005059059557310797, 10.0)
+        assert got == pytest.approx(0.013247013325335087, rel=1e-7)
+
+
 class TestFppPmfMixture:
     def test_matches_series_route(self):
         for n in (0, 1, 3):
@@ -349,6 +490,80 @@ class TestFppPmfMixture:
         assert fpp_pmf_mixture(1.0, 2.0, 1.0, 3) == pytest.approx(
             stats.poisson.pmf(3, 2.0), rel=1e-12
         )
+
+
+class TestFppPmfMixtureGuard:
+    """The mixture pmf raises instead of clamping a wrong total."""
+
+    @staticmethod
+    def _half_order_density(beta, x, t):
+        return math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
+
+    def test_density_with_extra_mass_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            distributions, "inverse_stable_density",
+            lambda *a: 3.0 * self._half_order_density(*a),
+        )
+        with pytest.raises(EvaluationError):
+            fpp_pmf_mixture(0.5, 1.0, 1.0, 0)
+
+    def test_negative_density_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            distributions, "inverse_stable_density",
+            lambda *a: -self._half_order_density(*a),
+        )
+        with pytest.raises(EvaluationError):
+            fpp_pmf_mixture(0.5, 1.0, 1.0, 2)
+
+    def test_non_finite_density_raises(self, monkeypatch):
+        monkeypatch.setattr(distributions, "inverse_stable_density", lambda *a: math.nan)
+        with pytest.raises(EvaluationError):
+            fpp_pmf_mixture(0.5, 1.0, 1.0, 1)
+
+    def test_exact_density_passes(self, monkeypatch):
+        monkeypatch.setattr(
+            distributions, "inverse_stable_density", self._half_order_density
+        )
+        for n in (0, 1, 4):
+            assert fpp_pmf_mixture(0.5, 1.0, 1.0, n) == pytest.approx(
+                fpp_pmf(0.5, 1.0, 1.0, n), abs=1e-9
+            )
+
+
+class TestWorkCounts:
+    """Nested numerical work stays out of the spectral and density routes."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def _count_quad(self, monkeypatch):
+        # only the quad calls made from distributions, not scipy-wide
+        monkeypatch.setattr(
+            distributions, "integrate", types.SimpleNamespace(quad=integrate.quad)
+        )
+        return self._count(monkeypatch, distributions.integrate, "quad")
+
+    def test_kochubei_makes_two_flat_quad_calls(self, monkeypatch):
+        calls = self._count_quad(monkeypatch)
+        distributed_order_survival_kochubei(DistributedOrder((0.2, 1.0, 0.6)), 1.0, 1.0)
+        assert len(calls) == 2
+
+    def test_density_off_far_field_does_no_inversion_or_quadrature(self, monkeypatch):
+        inversions = self._count(monkeypatch, distributions, "laplace_invert")
+        quads = self._count_quad(monkeypatch)
+        for beta, x, t in ((0.3, 1.0, 1.0), (0.7, 0.5, 2.0), (0.9, 0.2, 10.0)):
+            inverse_stable_density(beta, x, t)
+        assert inversions == []
+        assert quads == []
 
 
 class TestRenewalMean:

@@ -4,6 +4,7 @@ Levy-tail constants were frozen from mpmath quadrature of the defining
 integrals, cross-checked against the incomplete-gamma closed forms.
 """
 
+import cmath
 import json
 import math
 
@@ -350,6 +351,31 @@ class TestLaplaceInvert:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(DomainError):
             laplace_invert(lambda s: 1.0 / s, 0.0)
+
+    @staticmethod
+    def _talbot_loop(F, t, M):
+        """The fixed-Talbot sum written out node by node, as a reference."""
+        r = 2.0 * M / (5.0 * t)
+        s0 = complex(r, 0.0)
+        acc = (0.5 * cmath.exp(t * s0) * F(s0)).real
+        for k in range(1, M):
+            theta = k * math.pi / M
+            cot = math.cos(theta) / math.sin(theta)
+            sk = r * theta * complex(cot, 1.0)
+            gamma = cmath.exp(t * sk) * complex(
+                1.0 + theta * (1.0 + cot * cot) * 1j - cot * 1j
+            )
+            acc += (gamma * F(sk)).real
+        return (2.0 / (5.0 * t)) * acc
+
+    @pytest.mark.parametrize("terms", [32, 28, 16])
+    @pytest.mark.parametrize("t", [0.3171, 1.9, 7.5])
+    def test_talbot_bytes_match_the_node_loop(self, t, terms):
+        beta = 0.6
+        F = lambda s: s ** (beta - 1.0) / (s**beta + 1.0)
+        expected = repr(self._talbot_loop(F, t, terms))
+        for _ in range(2):  # the contour is built once, then read from the cache
+            assert repr(laplace_invert(F, t, terms=terms)) == expected
 
 
 class TestBernsteinIdentity:
