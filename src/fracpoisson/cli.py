@@ -22,7 +22,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .distributions import fpp_pmf_table, general_pmf_table, inverse_stable_density
-from .errors import DomainError
+from .errors import DomainError, _count
 from .fraccalc import SampledFunction, caputo
 from .processes import (
     paths_to_csv,
@@ -75,8 +75,7 @@ def _sample_chunk(task):
 
 
 def cmd_sample(args):
-    if args.paths < 1:
-        raise DomainError(f"need at least one path, got {args.paths}")
+    _count("path count", args.paths, least=1)
     if args.process == "fpp":
         if args.beta is None or args.lam is None:
             raise DomainError("sample --process fpp requires --beta and --lambda")

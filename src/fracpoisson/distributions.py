@@ -6,7 +6,8 @@ half-order Gaussian densities), Laplace inversion where they do not
 deliberately independent second routes for cross-validation: the
 spectral survival formula for distributed-order waiting times and the
 first-passage quadrature of the inverse-subordinator density built on
-the one-sided stable density.
+the one-sided stable density.  NaN, infinities, out-of-range values and
+non-integer counts raise DomainError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
 from .special import (
     _DEFAULT_CONTROL,
     _asymptotic_series,
@@ -32,6 +33,7 @@ from .special import (
 from .transforms import (
     DistributedOrder,
     Stable,
+    _require_spec,
     _talbot_contour,
     _talbot_result,
     laplace_exponent,
@@ -77,15 +79,10 @@ def fpp_pmf(beta, lam, t, n):
     in terms of the three-parameter Mittag-Leffler function; beta = 1
     reduces to the Poisson pmf and n = 0 to the waiting-time survival.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {beta}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"count must be nonnegative, got {n}")
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
+    _nonnegative("time", t)
+    n = _count("count", n)
     if t == 0.0:
         return 1.0 if n == 0 else 0.0
     if beta == 1.0:
@@ -196,15 +193,18 @@ def pmf_laplace(spec, lam, n, s):
     """Laplace transform (in t) of P(N_D(t) = n) for a general subordinator.
 
     Closed form psi(s)/s * lam**n / (lam + psi(s))**(n+1); accepts real
-    s > 0 or complex s off the negative real axis, so it can be handed
-    directly to the contour inverter.
+    s > 0 or nonzero complex s off the negative real axis, both finite,
+    so it can be handed directly to the contour inverter.
     """
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"count must be nonnegative, got {n}")
-    psi = laplace_exponent(spec, s)
+    _positive("rate", lam)
+    n = _count("count", n)
+    if s == 0:
+        raise DomainError(f"pmf transform needs s != 0, got {s!r}")
+    return _pmf_transform(laplace_exponent(spec, s), s, lam, n)
+
+
+def _pmf_transform(psi, s, lam, n):
+    """pmf_laplace at s, given psi = psi(s) and checked lam and n."""
     # log-space assembly: lam**n and (lam + psi)**(n+1) overflow for large
     # counts even though their ratio is a bounded transform value
     w = _clog(psi) - _clog(s) + n * math.log(lam) - (n + 1.0) * _clog(lam + psi)
@@ -232,10 +232,12 @@ def general_pmf(spec, lam, t, n):
     transform pmf_laplace is inverted numerically; the stable case
     agrees with fpp_pmf to inversion accuracy.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _positive("time", t)
+    _positive("rate", lam)
+    n = _count("count", n)
+    _require_spec(spec)
     value = _invert_with_fallback(
-        lambda s: pmf_laplace(spec, lam, n, s), t, noise_floor=1e-10
+        lambda s: _pmf_transform(spec.psi(s), s, lam, n), t, noise_floor=1e-10
     )
     return min(max(value, 0.0), 1.0)
 
@@ -246,13 +248,12 @@ def waiting_survival_general(spec, lam, t):
     Inverts the closed-form transform psi(s)/(s (lam + psi(s))), which
     also equals E[exp(-lam E(t))] for the inverse subordinator E.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    _positive("time", t)
+    _positive("rate", lam)
+    _require_spec(spec)
 
     def transform(s):
-        psi = laplace_exponent(spec, s)
+        psi = spec.psi(s)
         return psi / (s * (lam + psi))
 
     value = _invert_with_fallback(transform, t, noise_floor=1e-10)
@@ -316,10 +317,8 @@ def distributed_order_survival_kochubei(p, lam, t):
     on the log axis with a 1/u substitution for the slowly decaying
     r -> 0 end, and the result is accurate to about 1e-12.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    _positive("time", t)
+    _positive("rate", lam)
     at0, at1 = _order_derivatives(p)
     ln_t = math.log(t)
 
@@ -380,10 +379,15 @@ def stable_unit_density(beta, v):
         g(v) = beta/(1-beta) v^{-1/(1-beta)}
                int_0^1 A(pi u) exp(-A(pi u) v^{-beta/(1-beta)}) du
 
-    is evaluated by adaptive quadrature.
+    is evaluated by adaptive quadrature, at any finite v.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
+    _unit_interval("stability index", beta)
+    if not math.isfinite(v):
+        raise DomainError(f"point must be finite, got {v!r}")
+    return _stable_density(beta, v)
+
+
+def _stable_density(beta, v):
     if v <= 0.0:
         return 0.0
     if beta == 0.5:
@@ -428,12 +432,9 @@ def inverse_stable_density(beta, x, t):
     uses, with the terms of a 32-node and a 28-node rule evaluated as
     one array.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
-    if not x > 0.0:
-        raise DomainError(f"state must be positive, got {x}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _unit_interval("stability index", beta)
+    _positive("state", x)
+    _positive("time", t)
     if beta == 0.5:
         return inverse_stable_density_quadrature(beta, x, t)
     ln_factor, s_beta, ln_power = _density_contour(beta, t)
@@ -473,17 +474,14 @@ def inverse_stable_density_quadrature(beta, x, t):
     (Zolotarev quadrature; closed form at beta = 1/2).  The (t-y)**-beta
     endpoint singularity is handled by weighted Gauss quadrature.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
-    if not x > 0.0:
-        raise DomainError(f"state must be positive, got {x}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _unit_interval("stability index", beta)
+    _positive("state", x)
+    _positive("time", t)
     scale = x ** (-1.0 / beta)  # D(x) =_d x**(1/beta) D(1)
     norm = math.exp(-gammaln(1.0 - beta))
 
     def smooth_part(y):
-        return norm * scale * stable_unit_density(beta, y * scale)
+        return norm * scale * _stable_density(beta, y * scale)
 
     val, err = integrate.quad(
         smooth_part, 0.0, t,
@@ -504,15 +502,10 @@ def fpp_pmf_mixture(beta, lam, t, n):
     production density route; beta = 1 degenerates to the Poisson pmf
     (h collapses to a point mass at t).
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {beta}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"count must be nonnegative, got {n}")
+    _unit_interval("order", beta, closed=True)
+    _positive("time", t)
+    _positive("rate", lam)
+    n = _count("count", n)
     if beta == 1.0:
         return math.exp(-lam * t + n * math.log(lam * t) - gammaln(n + 1))
 
@@ -551,13 +544,12 @@ def renewal_mean(spec, lam, t):
     The stable case has the closed form lam t**beta / Gamma(1 + beta),
     which tests use as the oracle.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    _positive("time", t)
+    _positive("rate", lam)
+    _require_spec(spec)
 
     def transform(s):
-        return lam / (s * laplace_exponent(spec, s))
+        return lam / (s * spec.psi(s))
 
     return _invert_with_fallback(transform, t, noise_floor=1e-12)
 
@@ -588,8 +580,8 @@ class PmfTable:
             raise DomainError("rows must cover n = 0..N* contiguously")
         if any(p < 0.0 for _, p in rows):
             raise DomainError("probabilities must be nonnegative")
-        if not 0.0 <= self.tail_mass_bound:
-            raise DomainError("tail bound must be nonnegative")
+        _positive("time", self.t)
+        _nonnegative("tail bound", self.tail_mass_bound)
         total = math.fsum(p for _, p in rows) + self.tail_mass_bound
         if not 1.0 - 1e-8 <= total <= 1.0 + 1e-8:
             raise DomainError(
@@ -636,8 +628,9 @@ def _computed_table(t, params, rows, bound):
 
 def fpp_pmf_table(beta, lam, t, params_extra=None):
     """Tabulate the fractional Poisson pmf with a certified tail bound."""
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
+    _positive("time", t)
     n_star, bound = _truncation_index(lam, 1.0, t)  # psi(1) = 1 for any stable index
     rows = tuple((n, fpp_pmf(beta, lam, t, n)) for n in range(n_star + 1))
     params = {"process": "fpp", "beta": beta, "lam": lam}
@@ -648,8 +641,8 @@ def fpp_pmf_table(beta, lam, t, params_extra=None):
 
 def general_pmf_table(spec, lam, t):
     """Tabulate the general-subordinator pmf with a certified tail bound."""
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _positive("rate", lam)
+    _positive("time", t)
     if isinstance(spec, Stable):
         return fpp_pmf_table(spec.beta, lam, t, params_extra={"spec": spec_to_json(spec)})
     psi_one = laplace_exponent(spec, 1.0)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks."""
+
+import math
+import numbers
 
 __all__ = [
     "DomainError",
@@ -45,3 +48,29 @@ class OffGridError(ValueError):
 
 class ResolutionError(ValueError):
     """The sampling grid is too coarse for the requested stencil."""
+
+
+# The argument checks of every public entry point.  Each raises DomainError
+# for NaN, infinities and values out of range, and is not part of the API.
+
+def _unit_interval(name, x, closed=False):
+    if not (0.0 < x < 1.0 or (closed and x == 1.0)):
+        raise DomainError(f"{name} must lie in (0, 1{']' if closed else ')'}, got {x!r}")
+
+
+def _positive(name, x):
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {x!r}")
+
+
+def _nonnegative(name, x):
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {x!r}")
+
+
+def _count(name, n, least=0):
+    """n as an int; n may be an int, a numpy integer or an integral float."""
+    if (type(n) is int or isinstance(n, numbers.Real) and (
+            isinstance(n, numbers.Integral) or float(n).is_integer())) and n >= least:
+        return int(n)
+    raise DomainError(f"{name} must be an integer >= {least}, got {n!r}")

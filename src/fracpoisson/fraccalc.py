@@ -28,7 +28,8 @@ from scipy import integrate
 from scipy.special import gammaln
 
 from .errors import DomainError, OffGridError, ResolutionError
-from .transforms import DistributedOrder
+from .errors import _count, _nonnegative, _positive, _unit_interval
+from .transforms import DistributedOrder, _gl_nodes
 
 __all__ = [
     "SampledFunction",
@@ -41,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """A function known on a uniform grid t0, t0+step, t0+2*step, ..."""
+    """Finite values of a function on a uniform grid t0 >= 0, t0+step, ..."""
 
     t0: float
     step: float
@@ -49,16 +50,16 @@ class SampledFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.t0 < 0.0:
-            raise DomainError(f"grid origin must be nonnegative, got {self.t0}")
-        if not self.step > 0.0:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if len(self.values) < 3:
-            raise DomainError("need at least 3 samples for derivative stencils")
+        _nonnegative("grid origin", self.t0)
+        _positive("step", self.step)
+        if len(self.values) < 3 or not all(map(math.isfinite, self.values)):
+            raise DomainError("need at least 3 finite samples for derivative stencils")
 
     @classmethod
     def from_function(cls, fn, stop, step, t0=0.0):
-        """Sample ``fn`` on the grid t0..stop (inclusive, up to rounding)."""
+        """Sample ``fn`` on the finite grid t0..stop (inclusive, up to rounding)."""
+        _positive("step", step)
+        _nonnegative("grid length", stop - t0)
         n = int(round((stop - t0) / step))
         ts = t0 + step * np.arange(n + 1)
         return cls(t0=t0, step=step, values=tuple(float(fn(t)) for t in ts))
@@ -76,21 +77,30 @@ class SampledFunction:
 
 
 def caputo(g, beta, t):
-    """Caputo derivative of order beta at grid point t, by the L1 scheme.
+    """Caputo derivative of order beta in (0, 1) at grid point t, by the L1 scheme.
 
     Requires the sample to start at t0 = 0 so the initial value g(0)
-    anchors the memory integral.  Exact for affine g; error
-    O(step**(2-beta)) for smooth g.
+    anchors the memory integral, and t to be a positive grid point.
+    Exact for affine g; error O(step**(2-beta)) for smooth g.
     """
+    _unit_interval("order", beta)
+    return _l1(g, beta, _memory_index(g, t))
+
+
+def _memory_index(g, t):
+    """Grid index k >= 1 of t in g, a sample that starts at t0 = 0."""
     if not isinstance(g, SampledFunction):
         raise DomainError(f"g must be a SampledFunction, got {type(g)!r}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"order must lie in (0, 1), got {beta}")
     if g.t0 != 0.0:
         raise DomainError("the memory integral starts at 0; sample g from t0 = 0")
+    _positive("time", t)
     k = g.index_of(t)
     if k < 1:
         raise DomainError("t must be a positive grid point")
+    return k
+
+
+def _l1(g, beta, k):
     vals = np.asarray(g.values[: k + 1])
     j = np.arange(k, dtype=float)
     weights = (j + 1.0) ** (1.0 - beta) - j ** (1.0 - beta)
@@ -108,8 +118,6 @@ def riemann_liouville(g, beta, t):
     RL g(t) = Caputo g(t) + g(0) t**-beta / Gamma(1-beta); the added
     term carries the initial value that Caputo deliberately removes.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
     base = caputo(g, beta, t)
     return base + g.values[0] * t ** (-beta) * math.exp(-gammaln(1.0 - beta))
 
@@ -136,11 +144,10 @@ def distributed_order_deriv(g, nu, t):
                 "or a callable density"
             ) from None
         return math.fsum(w * caputo(g, b, t) for b, w in pairs)
-    nodes, gl_weights = np.polynomial.legendre.leggauss(96)
-    nodes = 0.5 * (nodes + 1.0)
-    gl_weights = 0.5 * gl_weights
+    k = _memory_index(g, t)
+    nodes, gl_weights = _gl_nodes(96)
     return math.fsum(
-        gw * float(weight(b)) * caputo(g, float(b), t)
+        gw * float(weight(b)) * _l1(g, float(b), k)
         for b, gw in zip(nodes, gl_weights)
     )
 
@@ -150,6 +157,8 @@ def distributed_order_deriv(g, nu, t):
 # ---------------------------------------------------------------------------
 
 def _require_resolution(t, step):
+    _positive("time", t)
+    _positive("step", step)
     if t / step < 16.0:
         raise ResolutionError(
             f"grid too coarse for a meaningful memory integral at t={t}; "
@@ -172,7 +181,7 @@ def _residual_fpp_master(params, point):
     lam = params["lam"]
     step = params.get("step", 1e-3)
     n, t = point
-    n = int(n)
+    n = _count("count", n)
     _require_resolution(t, step)
     grid = SampledFunction.from_function(
         lambda r: fpp_pmf(beta, lam, r, n), t, step
@@ -194,8 +203,7 @@ def _residual_inverse_density(params, point):
         )
     step = params.get("step", 1e-3)
     x, t = point
-    if not (x > 0.0 and t > 0.0):
-        raise DomainError("need an interior point x > 0, t > 0")
+    _positive("state", x)
     _require_resolution(t, step)
     grid = SampledFunction.from_function(lambda r: _half_order_density(x, r), t, step)
     lhs = caputo(grid, beta, t)
@@ -237,6 +245,10 @@ def _residual_brownian_time(params, point, source_from_general_form=False):
     f_prime = params.get("f_prime", _default_f_prime)
     step = params.get("step", 1e-3)
     x, t = point
+    if not math.isfinite(x):
+        raise DomainError(f"point must be finite, got {x!r}")
+    _positive("step", step)
+    _positive("time", t)
     if not t > step:
         raise ResolutionError(f"need t > step for the time stencil, got t={t}")
     u = lambda xx, tt: _brownian_time_u(f, xx, tt)

@@ -12,7 +12,8 @@ deliberately independent so they can be tested against each other:
 
 Also here: CTRW paths driven by those renewal times, the Bernoulli
 prelimit walk whose law converges to the fractional counting process,
-and grid-path inversion with its left-limit consistency check.
+and grid-path inversion with its left-limit consistency check.  Times,
+horizons, rates and jump data must be finite, else DomainError.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError, TruncationError, _count, _nonnegative, _positive
 from .samplers import RngStream, _generator, sample_ml_waiting
 from .transforms import JumpDist, _require_spec, spec_to_json
 
@@ -47,6 +48,23 @@ __all__ = [
 # path containers
 # ---------------------------------------------------------------------------
 
+def _jump_times(path):
+    """Store ``path.jump_times`` as floats after checking them and the horizon."""
+    jt = tuple(float(x) for x in path.jump_times)
+    object.__setattr__(path, "jump_times", jt)
+    if jt and not (all(map(math.isfinite, jt)) and jt[0] > 0.0 and np.all(np.diff(jt) > 0.0)):
+        raise DomainError("jump times must be finite, strictly increasing and positive")
+    _positive("horizon", path.horizon)
+
+
+def _jumps_before(path, t):
+    """Number of jumps at or before time t, for finite 0 <= t <= horizon."""
+    _nonnegative("time", t)
+    if t > path.horizon:
+        raise DomainError(f"paths are defined only up to the horizon {path.horizon}")
+    return int(np.searchsorted(path.jump_times, t, side="right"))
+
+
 @dataclass(frozen=True)
 class RenewalPath:
     """Jump times of a counting process up to (and one past) a horizon.
@@ -60,20 +78,11 @@ class RenewalPath:
     horizon: float
 
     def __post_init__(self):
-        jt = tuple(float(x) for x in self.jump_times)
-        object.__setattr__(self, "jump_times", jt)
-        if jt:
-            arr = np.asarray(jt)
-            if arr[0] <= 0.0 or np.any(np.diff(arr) <= 0.0):
-                raise DomainError("jump times must be strictly increasing and positive")
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        _jump_times(self)
 
     def count_at(self, t):
         """N(t): number of jumps at or before time t (right-continuous)."""
-        if t > self.horizon:
-            raise DomainError(f"count_at defined only up to the horizon {self.horizon}")
-        return int(np.searchsorted(self.jump_times, t, side="right"))
+        return _jumps_before(self, t)
 
 
 @dataclass(frozen=True)
@@ -85,30 +94,20 @@ class CTRWPath:
     horizon: float
 
     def __post_init__(self):
-        jt = tuple(float(x) for x in self.jump_times)
+        _jump_times(self)
         js = tuple(float(x) for x in self.jump_sizes)
-        object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "jump_sizes", js)
-        if len(jt) != len(js):
-            raise DomainError("jump_times and jump_sizes must have equal length")
-        if jt:
-            arr = np.asarray(jt)
-            if arr[0] <= 0.0 or np.any(np.diff(arr) <= 0.0):
-                raise DomainError("jump times must be strictly increasing and positive")
-        if not self.horizon > 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if len(self.jump_times) != len(js) or not all(map(math.isfinite, js)):
+            raise DomainError("jump_sizes must be finite, one per jump time")
 
     def position_at(self, t):
         """X(t): sum of jump sizes with jump time <= t."""
-        if t > self.horizon:
-            raise DomainError(f"position_at defined only up to the horizon {self.horizon}")
-        k = int(np.searchsorted(self.jump_times, t, side="right"))
-        return float(math.fsum(self.jump_sizes[:k]))
+        return float(math.fsum(self.jump_sizes[: _jumps_before(self, t)]))
 
 
 @dataclass(frozen=True)
 class GridPath:
-    """A nondecreasing function sampled on a uniform time grid."""
+    """A finite nondecreasing function sampled on a finite uniform time grid."""
 
     times: tuple
     values: tuple
@@ -120,8 +119,8 @@ class GridPath:
         object.__setattr__(self, "values", tuple(v))
         if t.size < 2:
             raise DomainError("grid needs at least two points")
-        if t.size != v.size:
-            raise DomainError("times and values must have equal length")
+        if t.size != v.size or not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise DomainError("times and values must be finite, of equal length")
         steps = np.diff(t)
         if steps[0] <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise DomainError("times must form a uniform ascending grid")
@@ -151,10 +150,9 @@ def simulate_fpp(beta, lam, horizon, rng):
 
     Jump times are cumulative sums of IID Mittag-Leffler waiting times
     with P(J > t) = E_beta(-lam t**beta).  Generation stops at the first
-    jump past the horizon, which is retained.
+    jump past the finite horizon, which is retained.
     """
-    if not horizon > 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
+    _positive("horizon", horizon)
     gen = _generator(rng)
     times = []
     t = 0.0
@@ -176,10 +174,8 @@ def simulate_timechange_renewal(spec, lam, horizon, rng):
     almost surely and these are exactly the jump times of the
     inverse-subordinator count; no discretization is involved.
     """
-    if not horizon > 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    _positive("horizon", horizon)
+    _positive("rate", lam)
     _require_spec(spec)
     gen = _generator(rng)
     taus = []
@@ -221,12 +217,10 @@ def ctrw_prelimit_bernoulli(beta, lam, c, t, rng):
     horizon p**(-1/beta) t = c t; the value is Binomial(floor(lam R), p).
     As c grows this law converges to the fractional Poisson pmf at t.
     """
-    if not c > 1.0:
-        raise DomainError(f"scale must exceed 1, got {c}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    if not 1.0 < c < math.inf:
+        raise DomainError(f"scale must be finite and exceed 1, got {c!r}")
+    _positive("time", t)
+    _positive("rate", lam)
     gen = _generator(rng)
     p = c ** (-beta)
     stretched = c * t
@@ -261,8 +255,8 @@ def inverse_path_on_grid(d, t_grid):
     if not isinstance(d, GridPath):
         raise DomainError(f"d must be a GridPath, got {type(d)!r}")
     t_arr = np.asarray(t_grid, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size < 2:
-        raise DomainError("t_grid must be a 1-d grid with at least two points")
+    if t_arr.ndim != 1 or t_arr.size < 2 or not np.isfinite(t_arr).all():
+        raise DomainError("t_grid must be a finite 1-d grid with at least two points")
     values = np.asarray(d.values)
     times = np.asarray(d.times)
     idx = np.searchsorted(values, t_arr, side="right")
@@ -290,8 +284,7 @@ def lemma1_check(d, n_t=None):
     times = np.asarray(d.times)
     if np.any(np.diff(values) <= 0.0):
         raise DomainError("lemma check needs a strictly increasing path")
-    if n_t is None:
-        n_t = len(times)
+    n_t = len(times) if n_t is None else _count("grid size", n_t, least=2)
     t_grid = np.linspace(values[0], values[-1], n_t, endpoint=False)
     e_vals = np.asarray(inverse_path_on_grid(d, t_grid).values)
     # E is nondecreasing, so {t : E(t) < r} is the grid prefix t_grid[:k]
@@ -325,7 +318,7 @@ def paths_to_csv(paths, spec, seed, stream=None):
     buf = stream if stream is not None else io.StringIO()
     spec_dict = spec if isinstance(spec, dict) else spec_to_json(spec)
     spec_json = json.dumps(spec_dict, separators=(",", ":"))
-    buf.write(f"# spec={spec_json} seed={int(seed)}\n")
+    buf.write(f"# spec={spec_json} seed={_count('seed', seed)}\n")
     buf.write("index,jump_time,jump_size\n" if walks else "index,jump_time\n")
     for i, path in enumerate(paths):
         if walks:

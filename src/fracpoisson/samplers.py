@@ -8,7 +8,8 @@ evaluation by independent-increment composition.
 
 Every sampler takes the random source last and accepts an optional
 ``size``: ``size=None`` returns one float, an integer returns that many
-IID draws as an ndarray.  The source may be an ``RngStream`` or any
+IID draws as an ndarray.  Parameters are finite and sizes integers, else
+DomainError.  The source may be an ``RngStream`` or any
 ``numpy.random.Generator``.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SamplingError
+from .errors import DomainError, SamplingError, _count, _nonnegative, _positive, _unit_interval
 
 __all__ = [
     "RngStream",
@@ -52,10 +53,9 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise DomainError("seed must fit in 64 bits")
-        if not 0 <= int(self.stream_id) < 2 ** 64:
-            raise DomainError("stream_id must fit in 64 bits")
+        self.seed, self.stream_id = _count("seed", self.seed), _count("stream_id", self.stream_id)
+        if max(self.seed, self.stream_id) >= 2 ** 64:
+            raise DomainError("seed and stream_id must fit in 64 bits")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -76,13 +76,9 @@ def _pack(values, size):
     return float(values[0]) if size is None else values
 
 
-def _count(size):
-    if size is None:
-        return 1
-    n = int(size)
-    if n < 0:
-        raise DomainError(f"size must be nonnegative, got {size}")
-    return n
+def _draws(size):
+    """Number of draws that ``size`` asks for (one when it is None)."""
+    return 1 if size is None else _count("size", size)
 
 
 def _uniform_open(gen, n):
@@ -139,19 +135,16 @@ def sample_stable_unit(beta, rng, size=None):
 
     has Laplace transform E[exp(-s D)] = exp(-s**beta).
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
-    return _pack(_stable_unit(_generator(rng), beta, _count(size)), size)
+    _unit_interval("stability index", beta)
+    return _pack(_stable_unit(_generator(rng), beta, _draws(size)), size)
 
 
 def sample_stable_increment(beta, dt, rng, size=None):
     """Draw D(dt); self-similarity gives D(dt) =_d dt**(1/beta) D(1)."""
-    if not dt > 0.0:
-        raise DomainError(f"increment length must be positive, got {dt}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
+    _positive("increment length", dt)
+    _unit_interval("stability index", beta)
     gen = _generator(rng)
-    return _pack(dt ** (1.0 / beta) * _stable_unit(gen, beta, _count(size)), size)
+    return _pack(dt ** (1.0 / beta) * _stable_unit(gen, beta, _draws(size)), size)
 
 
 def sample_ml_waiting(beta, lam, rng, size=None):
@@ -160,12 +153,10 @@ def sample_ml_waiting(beta, lam, rng, size=None):
     Uses J = lam**(-1/beta) W**(1/beta) D(1) with W unit exponential
     independent of D(1); beta = 1 reduces to exponential(lam).
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {beta}")
-    if not lam > 0.0:
-        raise DomainError(f"rate must be positive, got {lam}")
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
     gen = _generator(rng)
-    n = _count(size)
+    n = _draws(size)
     if beta == 1.0:
         return _pack(gen.standard_exponential(n) / lam, size)
     w = gen.standard_exponential(n)
@@ -182,14 +173,11 @@ def sample_tempered_stable_increment(beta, a, dt, rng, size=None):
     with probability exp(-a X); the chunk cap keeps the per-chunk
     acceptance rate at or above 1/e.
     """
-    if not dt > 0.0:
-        raise DomainError(f"increment length must be positive, got {dt}")
-    if not a > 0.0:
-        raise DomainError(f"tempering rate must be positive, got {a}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
+    _positive("increment length", dt)
+    _positive("tempering rate", a)
+    _unit_interval("stability index", beta)
     gen = _generator(rng)
-    n = _count(size)
+    n = _draws(size)
     n_chunks = max(1, math.ceil(dt * a ** beta))
     chunk_dt = dt / n_chunks
     scale = chunk_dt ** (1.0 / beta)
@@ -208,13 +196,12 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
     Marginal Laplace transform lam / (lam + (s+a)**beta - a**beta).
     Proposes from the plain Mittag-Leffler law with rate
     eta = lam - a**beta and accepts with probability exp(-a J); the
-    overall acceptance rate is eta/lam.  Requires lam > a**beta, else
-    the target density is not normalizable under this rate convention.
+    overall acceptance rate is eta/lam.  Requires finite lam > a**beta,
+    else the target density is not normalizable under this convention.
     """
-    if not a > 0.0:
-        raise DomainError(f"tempering rate must be positive, got {a}")
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
+    _positive("tempering rate", a)
+    _unit_interval("stability index", beta)
+    _positive("rate", lam)
     eta = lam - a ** beta
     if not eta > 0.0:
         raise DomainError(
@@ -227,7 +214,7 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
         w = gen.standard_exponential(k)
         return eta ** (-1.0 / beta) * w ** (1.0 / beta) * _stable_unit(gen, beta, k)
 
-    return _pack(_tilted(gen, _count(size), a, propose, "tempered waiting-time"), size)
+    return _pack(_tilted(gen, _draws(size), a, propose, "tempered waiting-time"), size)
 
 
 def sample_inverse_stable_marginal(beta, t, rng, size=None):
@@ -235,12 +222,10 @@ def sample_inverse_stable_marginal(beta, t, rng, size=None):
 
     Uses the marginal identity E(t) =_d (t / D(1))**beta; t = 0 gives 0.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    _unit_interval("stability index", beta)
+    _nonnegative("time", t)
     gen = _generator(rng)
-    n = _count(size)
+    n = _draws(size)
     if t == 0.0:
         return _pack(np.zeros(n), size)
     return _pack((t / _stable_unit(gen, beta, n)) ** beta, size)
@@ -254,12 +239,10 @@ def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
     grid points are missed; tests against reflection-principle values
     must budget for this bias.
     """
-    if n_steps < 1:
-        raise DomainError(f"need at least one step, got {n_steps}")
-    if t < 0.0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    n_steps = _count("step count", n_steps, least=1)
+    _nonnegative("time", t)
     gen = _generator(rng)
-    n = _count(size)
+    n = _draws(size)
     if t == 0.0:
         return _pack(np.zeros(n), size)
     std = math.sqrt(2.0 * t / n_steps)
@@ -280,7 +263,7 @@ def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
 
 
 def sample_subordinator_at(spec, times, rng, size=None):
-    """Evaluate one subordinator path at strictly increasing times.
+    """Evaluate one subordinator path at finite, strictly increasing times.
 
     Returns D(t_1) < D(t_2) < ... composed from exact independent
     increments, drawn by the spec's ``increments`` method.  ``size=k``
@@ -289,10 +272,9 @@ def sample_subordinator_at(spec, times, rng, size=None):
     UnsupportedSamplingError.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DomainError("times must be a nonempty 1-d sequence")
-    if times[0] <= 0.0 or np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be strictly increasing and positive")
+    if (times.ndim != 1 or times.size == 0 or not np.isfinite(times).all()
+            or times[0] <= 0.0 or np.any(np.diff(times) <= 0.0)):
+        raise DomainError("times must be a nonempty 1-d sequence: finite, positive, increasing")
     # the spec classes live in transforms, which imports this module
     increments = getattr(spec, "increments", None)
     if increments is None:
@@ -301,5 +283,5 @@ def sample_subordinator_at(spec, times, rng, size=None):
     dts = np.diff(times, prepend=0.0)
     if size is None:
         return np.cumsum(increments(dts, gen))
-    n = _count(size)
+    n = _draws(size)
     return np.cumsum(np.stack([increments(dts, gen) for _ in range(n)]), axis=1)

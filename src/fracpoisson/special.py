@@ -1,9 +1,10 @@
 """Mittag-Leffler type special functions.
 
-Everything here is scalar, pure, and thread-safe.  The one-parameter
-function ``ml_one`` and the three-parameter (Prabhakar) function
-``prabhakar`` are evaluated by their defining power series on a bounded
-disk and by algebraic asymptotic expansions deep on the negative axis.
+Everything here is scalar, pure, and thread-safe, and takes finite
+arguments only.  The one-parameter function ``ml_one`` and the
+three-parameter (Prabhakar) function ``prabhakar`` are evaluated by
+their defining power series on a bounded disk and by algebraic
+asymptotic expansions deep on the negative axis.
 Series summation uses exact compensated accumulation (``math.fsum``) so
 truncation, not rounding, dominates the error.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
 
 __all__ = [
     "SeriesControl",
@@ -70,12 +71,9 @@ class SeriesControl:
     asymptotic_switch: float = 10.0
 
     def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise DomainError("abs_tol must be positive")
-        if self.max_terms < 10:
-            raise DomainError("max_terms must be at least 10")
-        if not (self.asymptotic_switch > 0.0):
-            raise DomainError("asymptotic_switch must be positive")
+        _positive("abs_tol", self.abs_tol)
+        object.__setattr__(self, "max_terms", _count("max_terms", self.max_terms, least=10))
+        _positive("asymptotic_switch", self.asymptotic_switch)
 
 
 _DEFAULT_CONTROL = SeriesControl()
@@ -165,23 +163,22 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
     beta : float
         Order, in ``(0, 1]``.  ``beta = 1`` is routed to ``exp``.
     z : float
-        Real argument.  Arbitrary ``z <= 0``; positive ``z`` only within
-        the power-series radius (see ``SeriesControl``).
+        Finite real argument.  Arbitrary ``z <= 0``; positive ``z`` only
+        within the power-series radius (see ``SeriesControl``).
     control : SeriesControl, optional
         Series evaluation controls.
 
     Raises
     ------
     DomainError
-        If ``beta`` is outside ``(0, 1]`` or positive ``z`` exceeds the
-        supported series radius.
+        If ``beta`` is outside ``(0, 1]``, ``z`` is not finite, or
+        positive ``z`` exceeds the supported series radius.
     EvaluationError
         If the series fails to converge within ``max_terms``; the
         exception carries the partial sum.
     """
     ctrl = control or _DEFAULT_CONTROL
-    if not (0.0 < beta <= 1.0):
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    _unit_interval("order", beta, closed=True)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     if beta == 1.0:
@@ -231,20 +228,17 @@ def prabhakar(
     Parameters
     ----------
     gamma, alpha, theta : float
-        Shape parameters; ``gamma``, ``theta`` positive, ``alpha`` in
-        ``(0, 1)`` (the asymptotic branch needs ``alpha < 1``; at
-        ``alpha = 1`` only the series disk is supported).
+        Finite positive shape parameters (the asymptotic branch needs
+        ``alpha < 1``; otherwise only the series disk is supported).
     z : float
-        Real argument; arbitrary ``z <= 0``, positive ``z`` within the
-        series convergence budget.
+        Finite real argument; arbitrary ``z <= 0``, positive ``z`` within
+        the series convergence budget.
     control : SeriesControl, optional
         Series evaluation controls.
     """
     ctrl = control or _DEFAULT_CONTROL
-    if gamma <= 0.0 or alpha <= 0.0 or theta <= 0.0:
-        raise DomainError(
-            f"gamma, alpha, theta must be positive, got ({gamma}, {alpha}, {theta})"
-        )
+    for name, value in (("gamma", gamma), ("alpha", alpha), ("theta", theta)):
+        _positive(name, value)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     if alpha < 1.0 and z < -_effective_switch(alpha, ctrl):
@@ -322,23 +316,18 @@ def prabhakar(
 
 def ml_waiting_survival(beta: float, lam: float, t: float) -> float:
     """Survival function ``P(J > t) = E_beta(-lam t^beta)`` of a
-    Mittag-Leffler waiting time with order ``beta`` and rate ``lam``."""
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return 1.0
-    return ml_one(beta, -lam * t**beta)
+    Mittag-Leffler waiting time with order ``beta``, finite rate ``lam``."""
+    _positive("rate", lam)
+    _nonnegative("time", t)
+    return ml_one(beta, -lam * t**beta)  # ml_one checks beta; E_beta(0) = 1
 
 
 def ml_waiting_pdf(beta: float, lam: float, t: float) -> float:
     """Density ``lam t^{beta-1} E_{beta,beta}(-lam t^beta)`` of the
     Mittag-Leffler waiting time; unbounded at ``t = 0`` for ``beta < 1``."""
-    if lam <= 0.0:
-        raise DomainError(f"lam must be positive, got {lam}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
+    _positive("time", t)
     if beta == 1.0:
         return lam * math.exp(-lam * t)
     return lam * t ** (beta - 1.0) * prabhakar(1.0, beta, beta, -lam * t**beta)

@@ -49,6 +49,7 @@ from scipy import integrate
 from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, EvaluationError, UnsupportedSamplingError
+from .errors import _count, _nonnegative, _positive, _unit_interval
 from .samplers import _stable_unit, sample_tempered_stable_increment
 
 __all__ = [
@@ -71,11 +72,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # helpers shared by the families
 # ---------------------------------------------------------------------------
-
-def _check_beta(beta):
-    if not (0.0 < beta < 1.0):
-        raise DomainError(f"stability index must lie in (0, 1), got {beta}")
-
 
 def _power(s, beta):
     """Principal-branch s**beta accepting real or complex scalars."""
@@ -129,7 +125,7 @@ class Stable:
     beta: float
 
     def __post_init__(self):
-        _check_beta(self.beta)
+        _unit_interval("stability index", self.beta)
 
     def psi(self, s):
         return _power(s, self.beta)
@@ -149,7 +145,7 @@ class Stable:
 class TemperedStable:
     """Exponentially tempered stable subordinator.
 
-    psi(s) = (s + a)**beta - a**beta with tempering rate a > 0.  All
+    psi(s) = (s + a)**beta - a**beta with finite tempering rate a > 0.  All
     moments are finite; small-time behaviour matches Stable(beta).
     """
 
@@ -157,9 +153,8 @@ class TemperedStable:
     a: float
 
     def __post_init__(self):
-        _check_beta(self.beta)
-        if not self.a > 0.0:
-            raise DomainError(f"tempering rate must be positive, got {self.a}")
+        _unit_interval("stability index", self.beta)
+        _positive("tempering rate", self.a)
 
     def psi(self, s):
         return _power(s + self.a, self.beta) - self.a ** self.beta
@@ -187,8 +182,8 @@ class TemperedStable:
 class StableMixture:
     """Finite mixture of stable subordinators.
 
-    psi(s) = sum_i weights[i] * s**betas[i] with positive weights.  The
-    weights need not sum to one; they set the relative jump intensities.
+    psi(s) = sum_i weights[i] * s**betas[i] with finite positive weights.
+    The weights need not sum to one; they set the relative jump intensities.
     """
 
     weights: tuple
@@ -199,11 +194,9 @@ class StableMixture:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if len(self.weights) != len(self.betas) or not self.weights:
             raise DomainError("weights and betas must be equal-length, nonempty")
-        for w in self.weights:
-            if not w > 0.0:
-                raise DomainError(f"mixture weights must be positive, got {w}")
-        for b in self.betas:
-            _check_beta(b)
+        for w, b in zip(self.weights, self.betas):
+            _positive("mixture weight", w)
+            _unit_interval("stability index", b)
 
     def psi(self, s):
         return sum(w * _power(s, b) for w, b in zip(self.weights, self.betas))
@@ -236,19 +229,19 @@ class DistributedOrder:
 
     psi(s) = int_0^1 s**beta p(beta) dbeta where p(beta) is the
     polynomial with coefficients ``poly`` (ascending powers).  ``poly``
-    defaults to the uniform density p = 1.  p must be nonnegative on
-    [0, 1] with positive total mass.  The tail switches to a small-t
-    moment expansion below t = exp(-40), where the direct quadrature of
-    int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta would overflow.  There
-    is no exact increment sampler.
+    defaults to the uniform density p = 1.  p must be finite and
+    nonnegative on [0, 1] with positive total mass.  The tail switches to
+    a small-t moment expansion below t = exp(-40), where the direct
+    quadrature of int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta would
+    overflow.  There is no exact increment sampler.
     """
 
     poly: tuple = (1.0,)
 
     def __post_init__(self):
         object.__setattr__(self, "poly", tuple(float(c) for c in self.poly))
-        if not self.poly:
-            raise DomainError("poly must have at least one coefficient")
+        if not self.poly or not all(map(math.isfinite, self.poly)):
+            raise DomainError(f"poly needs one or more finite coefficients, got {self.poly!r}")
         grid = np.linspace(0.0, 1.0, 201)
         vals = np.polynomial.polynomial.polyval(grid, self.poly)
         if vals.min() < -1e-12:
@@ -348,30 +341,40 @@ def spec_to_json(spec):
     return data
 
 
+def _json_object(data, what):
+    """The dict that ``data`` (a dict or a JSON string) describes."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except ValueError as exc:
+            raise DomainError(f"invalid {what} JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DomainError(f"expected an object describing a {what}, got {data!r}")
+    return data
+
+
+def _from_fields(cls, fields_, what):
+    """cls(**fields_), with missing, extra or ill-typed fields a DomainError."""
+    try:
+        return cls(**fields_)
+    except DomainError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"bad fields for {what}: {exc}") from None
+
+
 def spec_from_json(data):
     """Reconstruct a subordinator spec from a dict or a JSON string.
 
     Malformed input (invalid JSON, an unknown variant, missing, extra or
     ill-typed fields) raises DomainError.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:
-            raise DomainError(f"invalid subordinator JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise DomainError(f"expected an object describing a subordinator, got {data!r}")
+    data = _json_object(data, "subordinator")
     variant = data.get("variant")
     cls = _VARIANTS.get(variant) if isinstance(variant, str) else None
     if cls is None:
         raise DomainError(f"unknown subordinator variant {variant!r}")
-    kwargs = {k: v for k, v in data.items() if k != "variant"}
-    try:
-        return cls(**kwargs)
-    except DomainError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"bad fields for {variant}: {exc}") from None
+    return _from_fields(cls, {k: v for k, v in data.items() if k != "variant"}, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +385,8 @@ def spec_from_json(data):
 class JumpDist:
     """Discrete jump-size distribution for compound counting processes.
 
-    ``atoms`` is a sequence of (location, probability) pairs.  The
+    ``atoms`` is a sequence of (location, probability) pairs with finite
+    locations and positive probabilities that sum to one.  The
     Fourier symbol of the compound Poisson process with rate ``lam`` and
     these jumps is lam * (1 - sum_j p_j exp(-i k x_j)).
     """
@@ -392,8 +396,8 @@ class JumpDist:
     def __post_init__(self):
         atoms = tuple((float(x), float(p)) for x, p in self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        if not atoms:
-            raise DomainError("need at least one atom")
+        if not atoms or not all(math.isfinite(x) for x, _ in atoms):
+            raise DomainError(f"need one or more atoms at finite locations, got {atoms!r}")
         total = math.fsum(p for _, p in atoms)
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"atom probabilities must sum to 1, got {total}")
@@ -418,8 +422,7 @@ class JumpDist:
 
     def fourier_symbol(self, k, lam):
         """Symbol lam * (1 - E[exp(-i k X)]) of the compound process."""
-        if not lam > 0.0:
-            raise DomainError(f"rate must be positive, got {lam}")
+        _positive("rate", lam)
         return lam * (1.0 - self.char_fn(k))
 
     def to_json(self):
@@ -427,9 +430,8 @@ class JumpDist:
 
     @classmethod
     def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        return cls(atoms=tuple((x, p) for x, p in data["atoms"]))
+        """Inverse of ``to_json``; malformed input raises DomainError."""
+        return _from_fields(cls, _json_object(data, "jump distribution"), "JumpDist")
 
 
 # ---------------------------------------------------------------------------
@@ -439,20 +441,19 @@ class JumpDist:
 def laplace_exponent(spec, s):
     """Laplace exponent psi(s) of the subordinator ``spec``.
 
-    Accepts positive real s or complex s off the branch cut (-inf, 0];
-    complex arguments use principal-branch powers so that conjugate
-    symmetry psi(conj s) = conj psi(s) holds.
+    Accepts finite real s >= 0 or finite complex s off the branch cut
+    (-inf, 0]; complex arguments use principal-branch powers so that
+    conjugate symmetry psi(conj s) = conj psi(s) holds.
     """
     _require_spec(spec)
     if isinstance(s, complex):
         if s == 0:
             return 0.0 + 0.0j
-        if s.imag == 0.0 and s.real < 0.0:
-            raise DomainError("laplace exponent undefined on the negative real axis")
+        if not cmath.isfinite(s) or (s.imag == 0.0 and s.real < 0.0):
+            raise DomainError(f"laplace exponent needs finite s off (-inf, 0), got {s!r}")
     else:
         s = float(s)
-        if s < 0.0:
-            raise DomainError("laplace exponent needs s >= 0 on the real axis")
+        _nonnegative("transform argument", s)
         if s == 0.0:
             return 0.0
     return spec.psi(s)
@@ -461,15 +462,15 @@ def laplace_exponent(spec, s):
 def levy_tail(spec, t):
     """Tail phi(t) = nu(t, inf) of the Levy measure of ``spec``.
 
-    Vectorized over ``t`` (positive).  For the distributed-order family
-    a small-t moment expansion takes over below t = exp(-40), where the
-    direct quadrature of int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta
+    Vectorized over ``t`` (finite and positive).  For the distributed-order
+    family a small-t moment expansion takes over below t = exp(-40), where
+    the direct quadrature of int_0^1 t**-beta p(beta)/Gamma(1-beta) dbeta
     would overflow.
     """
     _require_spec(spec)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0.0):
-        raise DomainError("levy tail needs t > 0")
+    if not np.all(np.isfinite(t_arr) & (t_arr > 0.0)):
+        raise DomainError(f"levy tail needs finite t > 0, got {t!r}")
     out = spec.tail(np.atleast_1d(t_arr))
     return float(out[0]) if t_arr.ndim == 0 else out
 
@@ -487,18 +488,18 @@ def _quiet_quad(*args, **kwargs):
 
 
 def laplace_forward(f, s, tol=1e-9, singular_origin=True):
-    """Numerical Laplace transform int_0^inf exp(-s t) f(t) dt.
+    """Numerical Laplace transform int_0^inf exp(-s t) f(t) dt, finite s > 0.
 
     Built for integrands that may blow up like a power law at t = 0:
     the interval (0, 1] is mapped to the log axis t = exp(u) and
     integrated piecewise over blocks of width 40 until a block falls
     below the noise floor, which keeps quadrature nodes clustered near
     the singularity.  Raises EvaluationError (carrying the partial
-    value) when the accumulated quadrature error exceeds ``tol`` or the
-    integrand stops being finite.
+    value) when the accumulated quadrature error exceeds ``tol`` (finite,
+    > 0) or the integrand stops being finite.
     """
-    if not s > 0.0:
-        raise DomainError(f"forward transform needs s > 0, got {s}")
+    _positive("transform argument", s)
+    _positive("tolerance", tol)
 
     total = 0.0
     err = 0.0
@@ -661,7 +662,7 @@ def _invert_talbot(F, t, terms, noise_floor):
 
 
 def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):
-    """Invert a Laplace transform at time t > 0.
+    """Invert a Laplace transform at finite time t > 0.
 
     method='talbot' (fixed-Talbot, default 32 nodes) evaluates F along a
     deformed contour in the complex plane and achieves near machine
@@ -677,13 +678,13 @@ def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):
 
     Both methods estimate the roundoff noise left after cancellation and
     raise EvaluationError when it swamps the result.  ``noise_floor``
-    declares an absolute error the caller is willing to absorb: results
-    whose noise stays below it are returned instead of raising, which is
+    declares a finite absolute error the caller is willing to absorb:
+    results whose noise stays below it are returned instead of raising,
     the right contract when tiny values (tail probabilities, far-field
-    densities) only need absolute accuracy.
+    densities) only need absolute accuracy.  ``terms`` is a node count.
     """
-    if not t > 0.0:
-        raise DomainError(f"inversion needs t > 0, got {t}")
+    _positive("time", t)
+    _nonnegative("noise floor", noise_floor)
     aliases = {
         "talbot": "talbot",
         "fixed-talbot": "talbot",
@@ -693,9 +694,9 @@ def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):
     key = aliases.get(str(method).lower())
     if key is None:
         raise DomainError(f"unknown inversion method {method!r}")
-    if key == "talbot":
-        return _invert_talbot(F, t, 32 if terms is None else int(terms), noise_floor)
-    return _invert_stehfest(F, t, 14 if terms is None else int(terms), noise_floor)
+    invert, default = (_invert_talbot, 32) if key == "talbot" else (_invert_stehfest, 14)
+    terms = default if terms is None else _count("terms", terms, least=1)
+    return invert(F, t, terms, noise_floor)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +713,9 @@ def _tail_forward(spec, s):
     ``tail_completion``, using exp(-s t) = 1 + O(exp(-U)) there.
     """
     U = 600.0
+    # spec.tail is levy_tail without the argument checks, once per node
     total, err = integrate.quad(
-        lambda t: math.exp(-s * t) * levy_tail(spec, t),
+        lambda t: math.exp(-s * t) * float(spec.tail(np.array([t]))[0]),
         1.0,
         np.inf,
         epsabs=1e-14,
@@ -723,7 +725,7 @@ def _tail_forward(spec, s):
 
     def g(u):
         t = math.exp(u)
-        return math.exp(-s * t) * levy_tail(spec, t) * t
+        return math.exp(-s * t) * float(spec.tail(np.array([t]))[0]) * t
 
     hi = 0.0
     while hi > -U:
@@ -741,10 +743,9 @@ def bern_identity_check(spec, s):
     Returns (lhs, rhs, relative_error).  The left side integrates the
     Levy tail numerically with an analytic deep-tail completion; the
     right side evaluates the Laplace exponent directly, so agreement
-    validates both code paths at once.
+    validates both code paths at once.  ``s`` must be finite and positive.
     """
-    if not s > 0.0:
-        raise DomainError(f"identity check needs s > 0, got {s}")
+    _positive("transform argument", s)
     _require_spec(spec)
     lhs, _ = _tail_forward(spec, s)
     rhs = laplace_exponent(spec, s) / s

@@ -24,7 +24,7 @@ from .distributions import (
     pmf_laplace,
     waiting_survival_general,
 )
-from .errors import DomainError
+from .errors import DomainError, _count, _nonnegative
 from .fraccalc import SampledFunction, caputo, governing_residual
 from .processes import ctrw_prelimit_bernoulli, simulate_ctrw
 from .samplers import (
@@ -79,17 +79,15 @@ def ks_two_sample(a, b):
     when both CDFs are evaluated from the right, so scanning the merged
     sample gives the exact statistic.  The p-value uses the asymptotic
     Kolmogorov distribution at the two-sample effective size
-    n1 n2 / (n1 + n2); samples must be large enough (>= 25 each) for
-    that asymptotic to be meaningful.
+    n1 n2 / (n1 + n2); samples must be finite and large enough (>= 25
+    each) for that asymptotic to be meaningful.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
     n1, n2 = a.size, b.size
-    if n1 == 0 or n2 == 0:
-        raise DomainError("both samples must be nonempty")
-    if n1 < 25 or n2 < 25:
+    if n1 < 25 or n2 < 25 or not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError(
-            f"need at least 25 points per sample for the asymptotic "
+            f"need at least 25 finite points per sample for the asymptotic "
             f"p-value, got {n1} and {n2}"
         )
     grid = np.concatenate([a, b])
@@ -101,10 +99,12 @@ def ks_two_sample(a, b):
 
 
 def empirical_laplace(samples, s):
-    """Mean and standard error of exp(-s X) over the sample."""
-    if s < 0.0:
-        raise DomainError(f"transform argument must be >= 0, got {s}")
-    vals = np.exp(-s * np.asarray(samples, dtype=float).ravel())
+    """Mean and standard error of exp(-s X) over finite samples, finite s >= 0."""
+    _nonnegative("transform argument", s)
+    samples = np.asarray(samples, dtype=float).ravel()
+    if not np.isfinite(samples).all():
+        raise DomainError("samples must be finite")
+    vals = np.exp(-s * samples)
     n = vals.size
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
@@ -456,9 +456,7 @@ def run_suite(name, seed):
     per-case stream ids, so a sub-suite's cases inside ``all`` match a
     standalone run with the same seed.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _count("seed", seed)
     if name == "all":
         cases = []
         for fn, b in _SUITES.values():

@@ -314,6 +314,40 @@ class TestSample:
         assert "error:" in err
 
 
+class TestArgumentErrors:
+    """Bad numbers and malformed JSON are usage errors: exit 2, one error line."""
+
+    CTRW = ["sample", "--process", "ctrw", "--spec", '{"variant": "Stable", "beta": 0.6}',
+            "--lambda", "1", "--horizon", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pmf", "--beta", "0.5", "--lambda", "-1", "--t", "1"],
+            ["pmf", "--beta", "0.5", "--lambda", "1", "--t", "inf"],
+            ["pmf", "--beta", "nan", "--lambda", "1", "--t", "1"],
+            ["eval", "density", "--beta", "0.7", "--x", "1", "--t", "inf"],
+            ["eval", "prabhakar", "--gamma", "nan", "--alpha", "0.5", "--theta", "1",
+             "--z", "-1"],
+            ["sample", "--process", "fpp", "--beta", "0.5", "--lambda", "1",
+             "--horizon", "inf", "--paths", "1", "--seed", "1"],
+            CTRW + ["--jumps", '{"x": 1}'],
+            CTRW + ["--jumps", '{"atoms": [1, 2]}'],
+            CTRW + ["--jumps", "[1]"],
+            CTRW + ["--jumps", '{"atoms": [[1, 0.5], [-1, 0.5]], "extra": 1}'],
+            CTRW + ["--jumps", '{"atoms": [["a", 1]]}'],
+        ],
+    )
+    def test_exit_two_with_error_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err and "infinite interval" not in err
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(
