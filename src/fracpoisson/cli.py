@@ -63,8 +63,11 @@ def _sample_chunk(task):
     spec = spec_from_json(spec_json) if spec_json is not None else None
     jumps = JumpDist.from_json(jumps_json) if jumps_json is not None else None
     out = []
+    # one Philox for the chunk, re-keyed per path: the same draws as a
+    # fresh RngStream(seed, i), and the checks run once for the largest id
+    rng = RngStream(seed, max(indices, default=0))
     for i in indices:
-        rng = RngStream(seed, i)
+        rng._rekey(i)
         if process == "fpp":
             out.append(simulate_fpp(beta, lam, horizon, rng))
         elif process == "timechange":

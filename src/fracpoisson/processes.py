@@ -21,6 +21,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,10 @@ __all__ = [
 
 def _jump_times(path):
     """Store ``path.jump_times`` as floats after checking them and the horizon."""
-    jt = tuple(float(x) for x in path.jump_times)
+    jt = tuple(map(float, path.jump_times))
     object.__setattr__(path, "jump_times", jt)
-    if jt and not (all(map(math.isfinite, jt)) and jt[0] > 0.0 and np.all(np.diff(jt) > 0.0)):
+    if jt and not (all(map(math.isfinite, jt)) and jt[0] > 0.0
+                   and all(map(operator.lt, jt, jt[1:]))):
         raise DomainError("jump times must be finite, strictly increasing and positive")
     _positive("horizon", path.horizon)
 
@@ -95,7 +97,7 @@ class CTRWPath:
 
     def __post_init__(self):
         _jump_times(self)
-        js = tuple(float(x) for x in self.jump_sizes)
+        js = tuple(map(float, self.jump_sizes))
         object.__setattr__(self, "jump_sizes", js)
         if len(self.jump_times) != len(js) or not all(map(math.isfinite, js)):
             raise DomainError("jump_sizes must be finite, one per jump time")
@@ -136,6 +138,9 @@ class GridPath:
 # renewal simulation
 # ---------------------------------------------------------------------------
 
+_BATCH = 32  # draws per batch: fixes how each path consumes its stream
+
+
 def _next_jump(prev, t):
     """Jump time t, or the next float above prev when t <= prev.
 
@@ -143,6 +148,14 @@ def _next_jump(prev, t):
     the bump keeps jump times strictly increasing.
     """
     return t if t > prev else math.nextafter(prev, math.inf)
+
+
+def _extend_until(times, jumps, horizon):
+    """Append increasing ``jumps`` to ``times`` up to the first one past the
+    horizon; True when there is one, so the path is complete."""
+    k = int(np.searchsorted(jumps, horizon, side="right"))
+    times.extend(jumps[: k + 1].tolist())
+    return k < len(jumps)
 
 
 def simulate_fpp(beta, lam, horizon, rng):
@@ -155,14 +168,36 @@ def simulate_fpp(beta, lam, horizon, rng):
     _positive("horizon", horizon)
     gen = _generator(rng)
     times = []
-    t = 0.0
+    jumps = np.zeros(_BATCH + 1)  # the carried jump time, then the batch's
     while True:
-        batch = sample_ml_waiting(beta, lam, gen, size=32)
-        for j in batch:
-            t = _next_jump(t, t + j)
-            times.append(t)
-            if t > horizon:
-                return RenewalPath(tuple(times), horizon)
+        batch = sample_ml_waiting(beta, lam, gen, size=_BATCH)
+        jumps[1:] = batch
+        np.cumsum(jumps, out=jumps)
+        if not (jumps[1:] > jumps[:-1]).all():
+            for k in range(1, _BATCH + 1):
+                jumps[k] = _next_jump(jumps[k - 1], jumps[k - 1] + batch[k - 1])
+        if _extend_until(times, jumps[1:], horizon):
+            return RenewalPath(tuple(times), horizon)
+        jumps[0] = jumps[-1]
+
+
+def _timechange_times(spec, lam, horizon, gen):
+    """Jump times D(V_n) of one time-changed path, up to the first past the horizon."""
+    _positive("horizon", horizon)
+    _positive("rate", lam)
+    _require_spec(spec)
+    times = []
+    clock = np.zeros(_BATCH + 1)  # the carried arrival time, then the batch's
+    jumps = np.zeros(_BATCH + 1)  # the carried jump time, then the batch's
+    while True:
+        clock[1:] = clock[0] + np.cumsum(gen.standard_exponential(_BATCH) / lam)
+        jumps[1:] = np.cumsum(spec.increments(clock[1:] - clock[:-1], gen)) + jumps[0]
+        if not (jumps[1:] > jumps[:-1]).all():
+            for k in range(1, _BATCH + 1):
+                jumps[k] = _next_jump(jumps[k - 1], jumps[k])
+        if _extend_until(times, jumps[1:], horizon):
+            return tuple(times)
+        clock[0], jumps[0] = clock[-1], jumps[-1]
 
 
 def simulate_timechange_renewal(spec, lam, horizon, rng):
@@ -174,39 +209,23 @@ def simulate_timechange_renewal(spec, lam, horizon, rng):
     almost surely and these are exactly the jump times of the
     inverse-subordinator count; no discretization is involved.
     """
-    _positive("horizon", horizon)
-    _positive("rate", lam)
-    _require_spec(spec)
     gen = _generator(rng)
-    taus = []
-    tau = 0.0
-    v_last = 0.0
-    while True:
-        gaps = gen.standard_exponential(32) / lam
-        arrivals = v_last + np.cumsum(gaps)
-        dts = np.diff(arrivals, prepend=v_last)
-        for d in np.cumsum(spec.increments(dts, gen)) + tau:
-            tau = _next_jump(tau, float(d))
-            taus.append(tau)
-            if tau > horizon:
-                return RenewalPath(tuple(taus), horizon)
-        v_last = float(arrivals[-1])
+    return RenewalPath(_timechange_times(spec, lam, horizon, gen), horizon)
 
 
 def simulate_ctrw(spec, lam, jumps, horizon, rng):
     """Simulate a continuous-time random walk driven by the time change.
 
-    Renewal times come from ``simulate_timechange_renewal``; jump sizes
-    are IID from ``jumps``.  The resulting path has the law of the
+    Renewal times are those of ``simulate_timechange_renewal``; jump
+    sizes are IID from ``jumps``.  The resulting path has the law of the
     compound process evaluated at the inverse subordinator, exactly.
     """
     if not isinstance(jumps, JumpDist):
         raise DomainError(f"jumps must be a JumpDist, got {type(jumps)!r}")
     gen = _generator(rng)
-    renewal = simulate_timechange_renewal(spec, lam, horizon, gen)
-    k = len(renewal.jump_times)
-    sizes = gen.choice(jumps.locations, size=k, p=jumps.probabilities)
-    return CTRWPath(renewal.jump_times, tuple(float(s) for s in sizes), horizon)
+    times = _timechange_times(spec, lam, horizon, gen)
+    sizes = gen.choice(jumps.locations, size=len(times), p=jumps.probabilities)
+    return CTRWPath(times, sizes.tolist(), horizon)
 
 
 def ctrw_prelimit_bernoulli(beta, lam, c, t, rng):
@@ -341,16 +360,23 @@ def paths_from_csv(text, horizon=None):
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# spec="):
         raise DomainError("missing '# spec=... seed=...' header line")
+    if len(lines) < 2:
+        raise DomainError("missing column line")
     header = lines[0][2:]
     spec_part, _, seed_part = header.rpartition(" seed=")
-    spec_dict = json.loads(spec_part[len("spec="):])
-    seed = int(seed_part)
     columns = lines[1].split(",")
     walks = len(columns) == 3
     grouped = {}
-    for ln in lines[2:]:
-        parts = ln.split(",")
-        grouped.setdefault(int(parts[0]), []).append(tuple(float(v) for v in parts[1:]))
+    try:
+        spec_dict = json.loads(spec_part[len("spec="):])
+        seed = int(seed_part)
+        for ln in lines[2:]:
+            index, *values = ln.split(",")
+            if len(values) != len(columns) - 1:
+                raise ValueError(f"row {ln!r} does not match the columns {lines[1]!r}")
+            grouped.setdefault(int(index), []).append(tuple(map(float, values)))
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise DomainError(f"malformed path CSV: {exc}") from exc
     paths = []
     for i in sorted(grouped):
         rows = grouped[i]

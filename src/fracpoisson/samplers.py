@@ -1,7 +1,8 @@
 """Exact random variate generation for the process machinery.
 
 Covers one-sided stable subordinators (Kanter's representation),
-exponentially tempered variants (per-chunk rejection), Mittag-Leffler
+exponentially tempered variants (per-chunk rejection, one pass over the
+chunks of every requested increment per call), Mittag-Leffler
 and tempered Mittag-Leffler waiting times, inverse-subordinator
 marginals, Brownian running maxima, and multi-point subordinator
 evaluation by independent-increment composition.
@@ -63,6 +64,25 @@ class RngStream:
         """Fresh stream with the same seed and a new stream_id."""
         return RngStream(self.seed, stream_id)
 
+    def _rekey(self, stream_id):
+        """Turn this stream into ``RngStream(self.seed, stream_id)`` in place.
+
+        Sets the Philox state a fresh stream starts from (counter 0, key
+        [seed, stream_id], empty buffer) instead of building a new
+        generator.  ``stream_id`` is not checked: the caller has checked
+        a stream id at least as large.
+        """
+        self.stream_id = stream_id
+        self.generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.array([self.seed, stream_id], dtype=np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
 
 def _generator(rng):
     if isinstance(rng, RngStream):
@@ -84,25 +104,25 @@ def _draws(size):
 def _uniform_open(gen, n):
     # open-interval uniforms; u = 0 would put a zero in Kanter's denominator
     u = gen.random(n)
-    while True:
+    while not u.all():
         bad = u == 0.0
-        if not bad.any():
-            return u
         u[bad] = gen.random(int(bad.sum()))
+    return u
 
 
 def _tilted(gen, n, a, propose, what):
     """n draws of the proposal law tilted by exp(-a x), by rejection.
 
-    Each round calls ``propose(k)`` for the k pending draws first, then
-    draws k uniforms; a proposal x is kept with probability exp(-a x).
+    Each round calls ``propose(pending)`` with the indices of the k
+    pending draws first, then draws k uniforms; a proposal x is kept with
+    probability exp(-a x).
     """
     out = np.empty(n)
     pending = np.arange(n)
     for _ in range(_MAX_REJECTION_ROUNDS):
         if pending.size == 0:
             break
-        x = propose(pending.size)
+        x = propose(pending)
         accept = gen.random(pending.size) < np.exp(-a * x)
         out[pending[accept]] = x[accept]
         pending = pending[~accept]
@@ -164,6 +184,22 @@ def sample_ml_waiting(beta, lam, rng, size=None):
     return _pack(lam ** (-1.0 / beta) * w ** (1.0 / beta) * d, size)
 
 
+def _tempered_stable(gen, beta, a, dts):
+    """Tempered stable increments D(dt), one per duration in the array dts.
+
+    One rejection pass over the ceil(dt a**beta) chunks of every dt (see
+    ``sample_tempered_stable_increment``); each dt's chunks are summed.
+    """
+    chunks = np.maximum(np.ceil(dts * a ** beta), 1.0).astype(np.intp)
+    scales = np.repeat((dts / chunks) ** (1.0 / beta), chunks)
+    out = _tilted(
+        gen, scales.size, a,
+        lambda pending: scales[pending] * _stable_unit(gen, beta, pending.size),
+        "tempered-stable",
+    )
+    return np.add.reduceat(out, np.cumsum(chunks) - chunks)
+
+
 def sample_tempered_stable_increment(beta, a, dt, rng, size=None):
     """Draw an increment of the tempered stable subordinator.
 
@@ -171,23 +207,15 @@ def sample_tempered_stable_increment(beta, a, dt, rng, size=None):
     Exponential tilting by rejection: dt is split into chunks no longer
     than a**-beta, a stable increment is proposed per chunk and accepted
     with probability exp(-a X); the chunk cap keeps the per-chunk
-    acceptance rate at or above 1/e.
+    acceptance rate at or above 1/e.  This is the equal-durations case of
+    the kernel behind ``TemperedStable.increments``: one rejection pass
+    per call over the chunks of all ``size`` draws.
     """
     _positive("increment length", dt)
     _positive("tempering rate", a)
     _unit_interval("stability index", beta)
     gen = _generator(rng)
-    n = _draws(size)
-    n_chunks = max(1, math.ceil(dt * a ** beta))
-    chunk_dt = dt / n_chunks
-    scale = chunk_dt ** (1.0 / beta)
-
-    out = _tilted(
-        gen, n * n_chunks, a,
-        lambda k: scale * _stable_unit(gen, beta, k),
-        "tempered-stable",
-    )
-    return _pack(out.reshape(n, n_chunks).sum(axis=1), size)
+    return _pack(_tempered_stable(gen, beta, a, np.full(_draws(size), float(dt))), size)
 
 
 def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
@@ -210,7 +238,8 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
         )
     gen = _generator(rng)
 
-    def propose(k):
+    def propose(pending):
+        k = pending.size
         w = gen.standard_exponential(k)
         return eta ** (-1.0 / beta) * w ** (1.0 / beta) * _stable_unit(gen, beta, k)
 

@@ -50,7 +50,7 @@ from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, EvaluationError, UnsupportedSamplingError
 from .errors import _count, _nonnegative, _positive, _unit_interval
-from .samplers import _stable_unit, sample_tempered_stable_increment
+from .samplers import _stable_unit, _tempered_stable
 
 __all__ = [
     "Stable",
@@ -173,9 +173,8 @@ class TemperedStable:
     tail_completion = Stable.tail_completion
 
     def increments(self, dts, gen):
-        return np.array(
-            [sample_tempered_stable_increment(self.beta, self.a, dt, gen) for dt in dts]
-        )
+        """Increments D(dt) by one rejection pass per call over the chunks of all dts."""
+        return _tempered_stable(gen, self.beta, self.a, dts)
 
 
 @dataclass(frozen=True)

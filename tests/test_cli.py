@@ -239,6 +239,14 @@ class TestSample:
         _, parallel, _ = run_cli(base + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    def test_more_jobs_than_paths(self, capsys):
+        # a worker whose chunk of stream ids is empty returns no paths
+        base = ["sample", "--process", "fpp", "--beta", "0.5", "--lambda", "1",
+                "--horizon", "3", "--paths", "2", "--seed", "13"]
+        _, serial, _ = run_cli(base, capsys)
+        _, parallel, _ = run_cli(base + ["--jobs", "3"], capsys)
+        assert serial == parallel
+
     def test_timechange_spec(self, capsys):
         code, out, _ = run_cli(
             ["sample", "--process", "timechange", "--spec",

@@ -72,12 +72,14 @@ FAR_TAIL = [
     (0.9, 12.0, 40, "EvaluationError"),
 ]
 
-# (process, spec, lambda, horizon, paths, seed, stdout length, sha256)
+# (process, spec, lambda, horizon, paths, seed, stdout length, sha256); the
+# TemperedStable pin is of the batched tempered kernel (one rejection pass
+# over the chunks of a batch), whose law test_samplers.py checks
 SAMPLE_DIGESTS = [
     ("timechange", '{"variant":"Stable","beta":0.6}', "1", "5", "40", "17",
      3005, "e0c2495bb48948f4f7218b0183ee7cd2f8e64b1f94cd3093d123c2b029f4a8c5"),
     ("timechange", '{"variant":"TemperedStable","beta":0.5,"a":1.0}', "2", "3", "30", "18",
-     9287, "4e68a726673e24c96bfa2d8ec1ba334155e7e1c3e8c59dacb097b091751a446a"),
+     10211, "8001e8b673321a3ccfdf550988d1f0d4aa033965a7c978f561e6f8b640bdd2c6"),
     ("timechange",
      '{"variant":"StableMixture","weights":[0.5,0.5],"betas":[0.4,0.8]}', "1", "5", "40", "19",
      2752, "615c4291465cd4a87accf8464dad7896957d6733b31a40ecfdfd602b80cf6aaf"),

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from fracpoisson import processes
 from fracpoisson.distributions import fpp_pmf
 from fracpoisson.errors import DomainError, TruncationError, UnsupportedSamplingError
 from fracpoisson.processes import (
@@ -26,7 +27,7 @@ from fracpoisson.processes import (
     simulate_fpp,
     simulate_timechange_renewal,
 )
-from fracpoisson.samplers import RngStream, sample_subordinator_at
+from fracpoisson.samplers import RngStream, sample_ml_waiting, sample_subordinator_at
 from fracpoisson.transforms import (
     DistributedOrder,
     JumpDist,
@@ -48,6 +49,31 @@ def empirical_count_tv(counts, beta, lam, t):
     emp = np.bincount(counts, minlength=nmax + 1)[: nmax + 1] / counts.size
     tail = max(0.0, 1.0 - float(model.sum()))
     return 0.5 * (float(np.abs(emp - model).sum()) + tail)
+
+
+def loop_fpp_times(beta, lam, horizon, gen):
+    """Renewal jump times built one jump at a time, in 32-draw batches."""
+    times, t = [], 0.0
+    while True:
+        for j in sample_ml_waiting(beta, lam, gen, size=32):
+            t = t + j if t + j > t else math.nextafter(t, math.inf)
+            times.append(float(t))
+            if t > horizon:
+                return tuple(times)
+
+
+def loop_timechange_times(spec, lam, horizon, gen):
+    """Time-change jump times D(V_n) built one jump at a time, in 32-draw batches."""
+    times, tau, v_last = [], 0.0, 0.0
+    while True:
+        arrivals = v_last + np.cumsum(gen.standard_exponential(32) / lam)
+        dts = np.diff(arrivals, prepend=v_last)
+        for d in np.cumsum(spec.increments(dts, gen)) + tau:
+            tau = float(d) if d > tau else math.nextafter(tau, math.inf)
+            times.append(tau)
+            if tau > horizon:
+                return tuple(times)
+        v_last = float(arrivals[-1])
 
 
 class TestPathContainers:
@@ -134,6 +160,19 @@ class TestSimulateFpp:
 class TestSubSpacingWaits:
     """Waits below the float spacing near t must not repeat a jump time."""
 
+    @staticmethod
+    def _boundary_batches():
+        # the first draw of the second batch is lost against the carried time
+        second = np.full(32, 0.1)
+        second[0], second[-1] = 1e-17, 5.0
+        return iter([np.full(32, 0.1), second])
+
+    @staticmethod
+    def _assert_bumped_at_boundary(times):
+        assert len(times) == 64
+        assert np.all(np.diff(times) > 0.0)
+        assert times[32] == math.nextafter(times[31], math.inf)
+
     def test_fpp(self, monkeypatch):
         waits = np.full(32, 1e-17)
         waits[0], waits[-1] = 1.0, 5.0
@@ -157,6 +196,64 @@ class TestSubSpacingWaits:
         assert len(times) == 32
         assert np.all(np.diff(times) > 0.0)
         assert times[1] == math.nextafter(1.0, math.inf)
+
+    def test_fpp_tie_at_batch_boundary(self, monkeypatch):
+        batches = self._boundary_batches()
+        monkeypatch.setattr(
+            "fracpoisson.processes.sample_ml_waiting", lambda *args, **kwargs: next(batches)
+        )
+        times = simulate_fpp(0.5, 1.0, 8.0, RngStream(SEED)).jump_times
+        self._assert_bumped_at_boundary(times)
+        assert times[33] == times[32] + 0.1  # the waits go on from the bumped time
+
+    def test_timechange_tie_at_batch_boundary(self, monkeypatch):
+        batches = self._boundary_batches()
+        monkeypatch.setattr(Stable, "increments", lambda self, dts, gen: next(batches))
+        path = simulate_timechange_renewal(Stable(0.5), 1.0, 8.0, RngStream(SEED))
+        self._assert_bumped_at_boundary(path.jump_times)
+
+
+class TestArrayAssembly:
+    """The array passes give the bytes of the jump-at-a-time loops.
+
+    (lam, horizon) = (1, 1) ends most paths in the first batch; (50, 5)
+    needs several, and at beta = 0.3 it also meets waits below the float
+    spacing, which the loops bump to the next float.
+    """
+
+    BETAS = (0.3, 0.5, 0.8)
+    RUNS = ((1.0, 1.0), (50.0, 5.0))
+    N_PATHS = 200
+
+    @pytest.mark.parametrize("lam, horizon", RUNS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_fpp(self, beta, lam, horizon):
+        for i in range(self.N_PATHS):
+            want = RenewalPath(loop_fpp_times(beta, lam, horizon, RngStream(SEED, i).generator),
+                               horizon)
+            assert repr(simulate_fpp(beta, lam, horizon, RngStream(SEED, i))) == repr(want)
+
+    @pytest.mark.parametrize("lam, horizon", RUNS)
+    @pytest.mark.parametrize("spec", [*map(Stable, BETAS), StableMixture((0.5, 0.5), (0.3, 0.8))],
+                             ids=repr)
+    def test_timechange(self, spec, lam, horizon):
+        for i in range(self.N_PATHS):
+            gen = RngStream(SEED, i).generator
+            want = RenewalPath(loop_timechange_times(spec, lam, horizon, gen), horizon)
+            got = simulate_timechange_renewal(spec, lam, horizon, RngStream(SEED, i))
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("lam, horizon", RUNS)
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_ctrw(self, beta, lam, horizon):
+        jumps = JumpDist(((1.0, 0.5), (-2.0, 0.25), (0.5, 0.25)))
+        for i in range(self.N_PATHS):
+            gen = RngStream(SEED, i).generator
+            times = loop_timechange_times(Stable(beta), lam, horizon, gen)
+            sizes = gen.choice(jumps.locations, size=len(times), p=jumps.probabilities)
+            want = CTRWPath(times, tuple(float(x) for x in sizes), horizon)
+            got = simulate_ctrw(Stable(beta), lam, jumps, horizon, RngStream(SEED, i))
+            assert repr(got) == repr(want)
 
 
 class TestTimechangeRenewal:
@@ -217,6 +314,15 @@ class TestSimulateCtrw:
     def test_requires_jumpdist(self):
         with pytest.raises(DomainError):
             simulate_ctrw(Stable(0.5), 1.0, [(1.0, 0.5)], 1.0, RngStream(SEED))
+
+    def test_jump_times_checked_once_per_path(self, monkeypatch):
+        calls = []
+        check = processes._jump_times
+        monkeypatch.setattr(processes, "_jump_times", lambda path: calls.append(path) or check(path))
+        jumps = JumpDist(((1.0, 0.5), (-1.0, 0.5)))
+        for i in range(5):
+            simulate_ctrw(Stable(0.7), 1.0, jumps, 3.0, RngStream(SEED, i))
+        assert len(calls) == 5
 
 
 class TestPrelimitBernoulli:
@@ -349,3 +455,19 @@ class TestCsvRoundTrip:
             paths_to_csv([renewal, walk], Stable(0.5), 1)
         with pytest.raises(DomainError):
             paths_from_csv("index,jump_time\n0,1.0\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# spec={bad seed=1\nindex,jump_time\n0,1.0\n",
+            '# spec={"variant":"Stable","beta":0.5} seed=x\nindex,jump_time\n0,1.0\n',
+            '# spec={"variant":"Stable","beta":0.5} seed=1\nindex,jump_time\nzero,1.0\n',
+            '# spec={"variant":"Stable","beta":0.5} seed=1\nindex,jump_time\n0,one\n',
+            '# spec={"variant":"Stable","beta":0.5} seed=1\nindex,jump_time\n0\n',
+            '# spec={"variant":"Stable","beta":0.5} seed=1\n',
+        ],
+        ids=["spec-json", "seed", "row-index", "row-time", "row-short", "no-columns"],
+    )
+    def test_malformed_document_is_domain_error(self, text):
+        with pytest.raises(DomainError):
+            paths_from_csv(text)

@@ -62,6 +62,21 @@ class TestRngStream:
             child.generator.random(5), RngStream(SEED, 7).generator.random(5)
         )
 
+    @pytest.mark.parametrize("stream_id", [0, 1, 17, 2**40, 2**64 - 1])
+    def test_rekey_matches_fresh_stream(self, stream_id):
+        stream = RngStream(SEED, 5)
+        stream.generator.random(3, dtype=np.float32)  # leave a half-used draw behind
+        stream._rekey(stream_id)
+        fresh = RngStream(SEED, stream_id)
+        assert stream == fresh
+        draws = (
+            lambda g: g.random(7),
+            lambda g: g.standard_exponential(7),
+            lambda g: g.choice([1.0, -1.0, 2.0], size=9, p=[0.5, 0.3, 0.2]),
+        )
+        for draw in draws:
+            np.testing.assert_array_equal(draw(stream.generator), draw(fresh.generator))
+
     def test_rejects_out_of_range_keys(self):
         with pytest.raises(DomainError):
             RngStream(-1)
@@ -233,6 +248,66 @@ class TestTemperedSamplers:
             sample_tempered_stable_increment(0.5, 0.0, 1.0, RngStream(SEED))
         with pytest.raises(DomainError):
             sample_tempered_stable_increment(0.5, 1.0, -1.0, RngStream(SEED))
+
+
+def one_duration_at_a_time(beta, a, dts, gen):
+    """Tempered increments by a separate rejection loop per duration and chunk."""
+    out = []
+    for dt in dts:
+        n_chunks = max(1, math.ceil(dt * a**beta))
+        total = 0.0
+        for _ in range(n_chunks):
+            while True:
+                x = sample_stable_increment(beta, dt / n_chunks, gen)
+                if gen.random() < math.exp(-a * x):
+                    total += x
+                    break
+        out.append(total)
+    return np.array(out)
+
+
+class TestBatchedTemperedIncrements:
+    """``TemperedStable.increments``: one rejection pass over all chunks."""
+
+    SPEC = TemperedStable(0.6, 2.0)
+    SCALED = (0.3, 2.5, 12.0)  # dt a**beta: one chunk, 3 chunks, 12 or 13 chunks
+
+    def durations(self, scaled):
+        return np.asarray(scaled) / self.SPEC.a ** self.SPEC.beta
+
+    def assert_laplace(self, draws, dt):
+        assert_laplace_matches(
+            draws, (0.5, 1.0, 2.0), lambda s: math.exp(-dt * self.SPEC.psi(s)), sigmas=5.0
+        )
+
+    @pytest.mark.parametrize("scaled", SCALED)
+    def test_laplace_equal_durations(self, scaled):
+        dt = float(self.durations(scaled))
+        draws = self.SPEC.increments(np.full(100_000, dt), RngStream(SEED, 40).generator)
+        self.assert_laplace(draws, dt)
+
+    def test_laplace_mixed_durations(self):
+        which = np.random.default_rng(7).integers(0, 3, size=150_000)
+        dts = self.durations(self.SCALED)
+        draws = self.SPEC.increments(dts[which], RngStream(SEED, 41).generator)
+        for k, dt in enumerate(dts):
+            self.assert_laplace(draws[which == k], dt)
+
+    @pytest.mark.parametrize("scaled", (0.3, 2.5))
+    def test_ks_against_one_duration_at_a_time(self, scaled):
+        dts = np.full(10_000, float(self.durations(scaled)))
+        batched = self.SPEC.increments(dts, RngStream(SEED, 42).generator)
+        looped = one_duration_at_a_time(
+            self.SPEC.beta, self.SPEC.a, dts, RngStream(SEED, 43).generator
+        )
+        assert ks_two_sample(batched, looped).p_value > 0.01
+
+    def test_scalar_sampler_is_the_equal_durations_case(self):
+        beta, a, dt = self.SPEC.beta, self.SPEC.a, 1.7
+        np.testing.assert_array_equal(
+            sample_tempered_stable_increment(beta, a, dt, RngStream(SEED, 44), size=500),
+            self.SPEC.increments(np.full(500, dt), RngStream(SEED, 44).generator),
+        )
 
 
 class TestInverseStableMarginal:
