@@ -27,8 +27,8 @@ from .special import (
     _DEFAULT_CONTROL,
     _asymptotic_series,
     _effective_switch,
+    _prabhakar_series,
     ml_waiting_survival,
-    prabhakar,
 )
 from .transforms import (
     DistributedOrder,
@@ -101,35 +101,19 @@ def fpp_pmf(beta, lam, t, n):
         # log p <= n log z - lgamma(beta n + 1) < -370: the true value
         # sits far below the 1e-10 absolute floor of every branch.
         return 0.0
-    if not _series_product_safe(beta, z, n):
-        return _pmf_by_inversion(beta, lam, t, n)
+    # z**n times a series that cancels down from its largest term carries an
+    # absolute roundoff of about z**n max_term eps, which must stay below
+    # 1e-10.  The log-term is concave in r (gamma = n + 1 > 1), so the loop
+    # met that term before it stopped; terms that all underflow round nothing.
     try:
-        value = math.exp(n * math.log(z)) * prabhakar(
-            n + 1.0, beta, beta * n + 1.0, -z
-        )
+        series, max_term = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL)
     except EvaluationError:
         return _pmf_by_inversion(beta, lam, t, n)
+    if max_term > 0.0 and n * math.log(z) + math.log(max_term) + math.log(4.4e-16) > math.log(1e-10):
+        return _pmf_by_inversion(beta, lam, t, n)
+    value = math.exp(n * math.log(z)) * series
     # deep-tail values below series roundoff may surface as tiny negatives
     return min(max(value, 0.0), 1.0)
-
-
-def _series_product_safe(beta, z, n):
-    """Whether z**n times the Mittag-Leffler series is numerically sound.
-
-    The series for E^{n+1}_{beta, beta n + 1}(-z) cancels down from terms
-    of size max_term to a value of order pmf / z**n, so the product
-    carries an absolute roundoff of about z**n * max_term * eps.  Accept
-    the closed form only when that estimate stays below 1e-10; otherwise
-    the caller assembles the pmf from the Laplace domain.
-    """
-    lz = math.log(z)
-    rs = np.arange(2000.0)
-    ln_term = (
-        gammaln(n + 1.0 + rs) - gammaln(n + 1.0) - gammaln(rs + 1.0)
-        + rs * lz - gammaln(beta * rs + beta * n + 1.0)
-    )
-    noise = n * lz + float(np.max(ln_term)) + math.log(4.4e-16)
-    return noise <= math.log(1e-10)
 
 
 def _pmf_far_tail(beta, z, n):
@@ -388,10 +372,16 @@ def stable_unit_density(beta, v):
 
 
 def _stable_density(beta, v):
+    """g(v) for finite v; an exact 0.0, without quadrature, once A(0+)
+    v^{-beta/(1-beta)} passes 701: A(phi) rises on (0, pi) from A(0+) =
+    (beta^beta (1-beta)^(1-beta))^(1/(1-beta)), so every integrand node is
+    then past its 700 cutoff.  The test is in logs, so no power overflows."""
     if v <= 0.0:
         return 0.0
     if beta == 0.5:
         return math.exp(-1.0 / (4.0 * v)) / (2.0 * math.sqrt(math.pi) * v ** 1.5)
+    if beta * (math.log(beta) - math.log(v)) / (1.0 - beta) + math.log1p(-beta) > math.log(701.0):
+        return 0.0
     scale = v ** (-beta / (1.0 - beta))
 
     def integrand(u):

@@ -224,7 +224,7 @@ def simulate_ctrw(spec, lam, jumps, horizon, rng):
         raise DomainError(f"jumps must be a JumpDist, got {type(jumps)!r}")
     gen = _generator(rng)
     times = _timechange_times(spec, lam, horizon, gen)
-    sizes = gen.choice(jumps.locations, size=len(times), p=jumps.probabilities)
+    sizes = jumps._draw(gen, len(times))
     return CTRWPath(times, sizes.tolist(), horizon)
 
 

@@ -256,6 +256,11 @@ def prabhakar(
                 partial=total,
             )
         return total
+    return _prabhakar_series(gamma, alpha, theta, z, ctrl)[0]
+
+
+def _prabhakar_series(gamma, alpha, theta, z, ctrl):
+    """(sum, largest |term|) of the defining series, raising as ``prabhakar`` does."""
     stop = 1e-3 * ctrl.abs_tol
     lgamma0 = gammaln(gamma)
     terms = []
@@ -304,14 +309,14 @@ def prabhakar(
             f"(gamma={gamma}, alpha={alpha}, theta={theta}, z={z})",
             partial=total,
         )
-    noise = max(abs(t) for t in terms) * 1.1e-16
+    noise = max_mag * 1.1e-16
     if noise > 1e-6 * max(1.0, abs(total)):
         raise EvaluationError(
             f"Prabhakar series cancellation exceeds tolerance at z={z} "
             f"(noise ~ {noise:.2e})",
             partial=total,
         )
-    return total
+    return total, max_mag
 
 
 def ml_waiting_survival(beta: float, lam: float, t: float) -> float:

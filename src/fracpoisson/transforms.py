@@ -387,7 +387,9 @@ class JumpDist:
     ``atoms`` is a sequence of (location, probability) pairs with finite
     locations and positive probabilities that sum to one.  The
     Fourier symbol of the compound Poisson process with rate ``lam`` and
-    these jumps is lam * (1 - sum_j p_j exp(-i k x_j)).
+    these jumps is lam * (1 - sum_j p_j exp(-i k x_j)).  ``locations``
+    and ``probabilities`` hold the atoms' two coordinates as read-only
+    arrays.
     """
 
     atoms: tuple
@@ -403,14 +405,16 @@ class JumpDist:
         for _, p in atoms:
             if not p > 0.0:
                 raise DomainError("atom probabilities must be positive")
+        locations, probabilities = np.array(atoms).T
+        cdf = probabilities.cumsum()
+        cdf /= cdf[-1]
+        for name, array in zip(("locations", "probabilities", "_cdf"), (locations, probabilities, cdf)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    @property
-    def locations(self):
-        return np.array([x for x, _ in self.atoms])
-
-    @property
-    def probabilities(self):
-        return np.array([p for _, p in self.atoms])
+    def _draw(self, gen, size):
+        """``size`` IID jump sizes, drawn as ``gen.choice(locations, size, p=probabilities)``."""
+        return self.locations[self._cdf.searchsorted(gen.random(size), side="right")]
 
     def char_fn(self, k):
         """E[exp(-i k X)] for jump size X."""

@@ -7,6 +7,7 @@ density constants additionally agree with the convergent series for the
 stable density and the first-passage scaling relation.
 """
 
+import itertools
 import json
 import math
 import types
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammaln
 
 from fracpoisson import distributions
 from fracpoisson.distributions import (
@@ -35,7 +37,13 @@ from fracpoisson.distributions import (
     waiting_survival_general,
 )
 from fracpoisson.errors import DomainError, EvaluationError
-from fracpoisson.special import ml_one
+from fracpoisson.special import (
+    _DEFAULT_CONTROL,
+    _effective_switch,
+    _prabhakar_series,
+    ml_one,
+    prabhakar,
+)
 from fracpoisson.transforms import (
     DistributedOrder,
     Stable,
@@ -173,6 +181,67 @@ class TestFppPmf:
         # every branch (series, far tail, inversion) returns a probability
         val = fpp_pmf(beta, lam, t, n)
         assert 0.0 <= val <= 1.0
+
+
+def _series_guard_2000_terms(beta, z, n):
+    """The closed form's roundoff guard as a 2000-term gammaln array.
+
+    z**n E^{n+1}_{beta, beta n + 1}(-z) cancels down from its largest term
+    max_r |term_r|, so it carries an absolute roundoff of about
+    z**n max_term eps; the series route stands while that is below 1e-10.
+    """
+    lz = math.log(z)
+    rs = np.arange(2000.0)
+    ln_term = (
+        gammaln(n + 1.0 + rs) - gammaln(n + 1.0) - gammaln(rs + 1.0)
+        + rs * lz - gammaln(beta * rs + beta * n + 1.0)
+    )
+    return n * lz + float(np.max(ln_term)) + math.log(4.4e-16) <= math.log(1e-10)
+
+
+class TestSeriesRoundoffGuard:
+    """fpp_pmf reads the largest term off the series it sums; it must take
+    the route the 2000-term guard gave, then the series or inversion."""
+
+    GRID = list(itertools.product(
+        (0.1, 0.5, 0.9, 0.999), (0.3, 1.0, 7.0), (0.01, 0.5, 2.0, 10.0), (1, 5, 12, 30, 200)
+    ))
+
+    def test_route_matches_the_2000_term_guard(self, monkeypatch):
+        inverted = []
+        inversion = distributions._pmf_by_inversion
+
+        def counted(*args):
+            inverted.append(args)
+            return inversion(*args)
+
+        monkeypatch.setattr(distributions, "_pmf_by_inversion", counted)
+        routes = {"guard": 0, "series error": 0, "series": 0, "underflow": 0}
+        for beta, lam, t, n in self.GRID:
+            z = lam * t**beta
+            if z > _effective_switch(beta, _DEFAULT_CONTROL) or n * math.log(z) > 700.0:
+                continue  # far-tail and zero-prefactor routes come before the guard
+            if not _series_guard_2000_terms(beta, z, n):
+                route = "guard"
+            else:
+                try:
+                    prabhakar(n + 1.0, beta, beta * n + 1.0, -z)
+                    route = "series"
+                except EvaluationError:
+                    route = "series error"
+            inverted.clear()
+            value = fpp_pmf(beta, lam, t, n)
+            assert inverted == ([] if route == "series" else [(beta, lam, t, n)]), (
+                beta, lam, t, n, route,
+            )
+            routes[route] += 1
+            if route == "series" and _prabhakar_series(
+                n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL
+            )[1] == 0.0:
+                # every term underflows: nothing to round, and the pmf is 0
+                assert value == 0.0
+                routes["underflow"] += 1
+        assert min(routes.values()) > 0, routes  # underflow: beta >= 0.9 at n = 200
 
 
 class TestPmfLaplace:
@@ -377,6 +446,39 @@ class TestStableUnitDensity:
         assert stable_unit_density(0.6, 0.0) == 0.0
         assert stable_unit_density(0.6, -1.0) == 0.0
 
+    CUT_BETAS = [round(0.05 * k, 2) for k in range(1, 20)]
+
+    @staticmethod
+    def _a0(beta):
+        # A(0+) of Zolotarev's function
+        return (beta**beta * (1.0 - beta) ** (1.0 - beta)) ** (1.0 / (1.0 - beta))
+
+    @pytest.mark.parametrize("beta", CUT_BETAS)
+    def test_zolotarev_a_rises_from_its_limit_at_zero(self, beta):
+        a = np.array([
+            distributions._zolotarev_a(beta, math.pi * u) for u in np.linspace(0.0, 1.0, 4001)[1:-1]
+        ])
+        assert a.min() >= self._a0(beta) * (1.0 - 1e-13)
+        assert a[0] == pytest.approx(self._a0(beta), rel=1e-6)
+        assert (np.diff(a) >= -1e-13 * a[1:]).all()
+
+    @pytest.mark.parametrize("beta", [b for b in CUT_BETAS if b != 0.5])  # 0.5: closed form
+    def test_exact_zero_past_the_underflow_cut(self, beta):
+        # past A(0+) v**(-beta/(1-beta)) = 701 the density is 0.0 without
+        # a quadrature, and the quadrature it skips gives that same 0.0
+        v = (self._a0(beta) / 701.0) ** ((1.0 - beta) / beta) * (1.0 - 1e-9)
+        assert stable_unit_density(beta, v) == 0.0
+        scale = v ** (-beta / (1.0 - beta))
+
+        def integrand(u):
+            arg = distributions._zolotarev_a(beta, math.pi * u) * scale
+            return 0.0 if arg > 700.0 else math.exp(-arg)
+
+        assert integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11)[0] == 0.0
+        assert stable_unit_density(beta, 1e-300) == 0.0  # no power overflows
+        # short of 700 the quadrature still runs and resolves a positive value
+        assert stable_unit_density(beta, (self._a0(beta) / 650.0) ** ((1.0 - beta) / beta)) > 0.0
+
     def test_bad_beta(self):
         with pytest.raises(DomainError):
             stable_unit_density(1.0, 1.0)
@@ -556,6 +658,12 @@ class TestWorkCounts:
         calls = self._count_quad(monkeypatch)
         distributed_order_survival_kochubei(DistributedOrder((0.2, 1.0, 0.6)), 1.0, 1.0)
         assert len(calls) == 2
+
+    def test_far_field_first_passage_skips_the_stable_density_quadrature(self, monkeypatch):
+        # every D(x) density value inside [0, t] is past the underflow cut
+        calls = self._count_quad(monkeypatch)
+        assert inverse_stable_density_quadrature(0.6, 22.4, 0.5) == 0.0
+        assert len(calls) == 1
 
     def test_density_off_far_field_does_no_inversion_or_quadrature(self, monkeypatch):
         inversions = self._count(monkeypatch, distributions, "laplace_invert")

@@ -1,10 +1,12 @@
 """Exact-output regression pins for the asymptotic series and the CLI.
 
-Every expected value below was produced by the implementation that kept
-one asymptotic-series routine per caller and one ``isinstance`` ladder
-per subordinator operation.  The tests compare ``repr`` strings and
-SHA-256 digests, not tolerances: refactors of those layers must keep the
-output bytes identical.
+The series, sample and pmf values below were produced by the
+implementation that kept one asymptotic-series routine per caller and
+one ``isinstance`` ladder per subordinator operation; the suite report
+digests by the one that checked the pmf series roundoff on a 2000-term
+array and integrated the stable density at every point.  The tests
+compare ``repr`` strings and SHA-256 digests, not tolerances: refactors
+of those layers must keep the output bytes identical.
 """
 
 import contextlib
@@ -97,6 +99,16 @@ PMF_DIGESTS = [
      1008, "9b182ae1ed9aa2567e3a4783454068210c54d48de54be6706378aee9e69969ee"),
 ]
 
+# (suite, sha256) of the ``check --suite <suite> --seed 42 --output`` report
+SUITE_DIGESTS = [
+    ("theorem23", "2b170c73299bff1d8029a7558b443b349b45dc879a35e9a9cf427cc7b4ecfc2f"),
+    ("theorem31", "1b906fdf1966ef320b99bd26f5860db8d30a3957365ce132990f4879bd3a6ff5"),
+    ("theorem41", "708c30c07c9471d34a60d72249bdb65b9a42fe2ba647de20afe887854fe96d93"),
+    ("theorem51", "b6c392d6c123576ba7f8240389bb1060f7f49466c8f54a38c3c3ef5f1db46c95"),
+    ("distributed", "3065b67f994a4088b7a39143fd6a40a61d0bbac9abc39b059f549e05eaa23e50"),
+    ("fraccalc", "9ac1d7626dc71d155b195ae6d43433e1fa387c1ae474f415cb2e0fbddbfa12f5"),
+]
+
 
 def _outcome(f, *args):
     try:
@@ -152,3 +164,10 @@ def test_pmf_spec_csv_digest(spec, lam, t, length, digest):
     text = _cli_stdout(["pmf", "--spec", spec, "--lambda", lam, "--t", t])
     assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite, digest", SUITE_DIGESTS, ids=[s for s, _ in SUITE_DIGESTS])
+def test_suite_report_digest(suite, digest, tmp_path):
+    report = tmp_path / "report.json"
+    _cli_stdout(["check", "--suite", suite, "--seed", "42", "--output", str(report)])
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest

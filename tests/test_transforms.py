@@ -283,6 +283,31 @@ class TestJumpDist:
         assert JumpDist.from_json(jumps.to_json()) == jumps
         assert JumpDist.from_json(json.dumps(jumps.to_json())) == jumps
 
+    def test_arrays_built_once_and_read_only(self):
+        jumps = JumpDist(((1.5, 0.25), (-0.5, 0.75)))
+        assert jumps.locations is jumps.locations
+        assert jumps.probabilities is jumps.probabilities
+        assert jumps.locations.tolist() == [1.5, -0.5]
+        assert jumps.probabilities.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            jumps.locations[0] = 0.0
+        assert hash(jumps) == hash(JumpDist(((1.5, 0.25), (-0.5, 0.75))))
+
+    @pytest.mark.parametrize("atoms", [
+        ((1.0, 0.5), (-2.0, 0.25), (0.5, 0.25)),
+        ((3.0, 1.0),),
+        ((0.1, 0.1), (0.2, 0.2), (0.3, 0.3), (0.4, 0.4)),
+        ((-1.0, 1.0 / 3.0), (0.0, 1.0 / 3.0), (1.0, 1.0 / 3.0)),
+    ])
+    def test_draws_equal_generator_choice(self, atoms):
+        jumps = JumpDist(atoms)
+        for seed in range(20):
+            for size in (0, 1, 7, 40):
+                mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = numpys.choice(jumps.locations, size=size, p=jumps.probabilities)
+                assert jumps._draw(mine, size).tolist() == want.tolist()
+                assert mine.random() == numpys.random()  # same stream position
+
 
 class TestLaplaceForward:
     def test_exponential_pair(self):
