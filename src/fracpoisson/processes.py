@@ -12,7 +12,10 @@ deliberately independent so they can be tested against each other:
 
 Also here: CTRW paths driven by those renewal times, the Bernoulli
 prelimit walk whose law converges to the fractional counting process,
-and grid-path inversion with its left-limit consistency check.  Times,
+and grid-path inversion with its left-limit consistency check.  A
+private n-path kernel (``_timechange_counts``, ``_ctrw_positions``)
+draws N(t) and the CTRW position X(t) of many time-change paths at one
+time t in bounded array passes, without building the paths.  Times,
 horizons, rates and jump data must be finite, else DomainError.
 """
 
@@ -198,6 +201,51 @@ def _timechange_times(spec, lam, horizon, gen):
         if _extend_until(times, jumps[1:], horizon):
             return tuple(times)
         clock[0], jumps[0] = clock[-1], jumps[-1]
+
+
+_PASS_DRAWS = 2 ** 15  # arrivals per pass of the n-path kernel: bounds its memory
+
+
+def _timechange_counts(spec, lam, t, n, gen):
+    """Counts N(t) of n independent time-changed paths, in array passes.
+
+    Each pass advances up to _PASS_DRAWS // width open paths by ``width``
+    arrivals: the clock gaps are the rate-lam exponentials themselves,
+    one ``spec.increments`` call covers every gap of the pass, and a row
+    cumsum gives the jump times D(V_k).  A path closes at its first jump
+    past t; paths still open rejoin the queue behind the ones not yet
+    advanced.  The width is 4 while many paths are open and grows to
+    _BATCH as they close.
+    """
+    _positive("time", t)
+    _positive("rate", lam)
+    _require_spec(spec)
+    counts = np.zeros(n, dtype=np.intp)
+    tau = np.zeros(n)  # each path's last jump time
+    open_ = np.arange(n)
+    while open_.size:
+        width = min(max(_PASS_DRAWS // open_.size, 4), _BATCH)
+        rows = open_[: _PASS_DRAWS // width]
+        gaps = gen.standard_exponential((rows.size, width)) / lam
+        d = spec.increments(gaps.ravel(), gen).reshape(gaps.shape)
+        np.cumsum(d, axis=1, out=d)
+        d += tau[rows, None]
+        counts[rows] += (d <= t).sum(axis=1)
+        tau[rows] = d[:, -1]
+        open_ = np.concatenate((open_[rows.size:], rows[d[:, -1] <= t]))
+    return counts
+
+
+def _ctrw_positions(spec, lam, jumps, t, n, gen):
+    """Positions X(t) of n independent time-change CTRWs.
+
+    Counts come from ``_timechange_counts``; then one draw of all the
+    jump sizes, summed per path in path order (0.0 for a path without
+    jumps).
+    """
+    counts = _timechange_counts(spec, lam, t, n, gen)
+    sizes = jumps._draw(gen, int(counts.sum()))
+    return np.bincount(np.repeat(np.arange(n), counts), weights=sizes, minlength=n)
 
 
 def simulate_timechange_renewal(spec, lam, horizon, rng):

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _MAX_REJECTION_ROUNDS = 10 ** 6
+_NARROW_BLOCK = 32  # running-max blocks with fewer steps go column by column
 
 
 @dataclass
@@ -283,9 +284,18 @@ def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
         nb = min(steps_per_block, n_steps - done)
         inc = gen.standard_normal((n, nb))
         inc *= std
-        np.cumsum(inc, axis=1, out=inc)
-        inc += level[:, None]
-        np.maximum(best, inc.max(axis=1), out=best)
+        if nb < _NARROW_BLOCK:
+            # per-row cumsum/max calls cost more than the few additions in a
+            # narrow row; whole columns make the same additions in the same order
+            for j in range(1, nb):
+                inc[:, j] += inc[:, j - 1]
+            inc += level[:, None]
+            for j in range(nb):
+                np.maximum(best, inc[:, j], out=best)
+        else:
+            np.cumsum(inc, axis=1, out=inc)
+            inc += level[:, None]
+            np.maximum(best, inc.max(axis=1), out=best)
         level = inc[:, -1].copy()
         done += nb
     return _pack(best, size)

@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .errors import DomainError, _count, _nonnegative
 from .fraccalc import SampledFunction, caputo, governing_residual
-from .processes import ctrw_prelimit_bernoulli, simulate_ctrw
+from .processes import _ctrw_positions, ctrw_prelimit_bernoulli
 from .samplers import (
     RngStream,
     sample_brownian_running_max,
@@ -332,13 +332,10 @@ def _suite_theorem51(seed, base):
         / (s * (psi_a + laplace_exponent(spec, s))),
         t,
     )
-    stream = RngStream(seed, base)
     n = 20_000
-    vals = np.empty(n)
-    for i in range(n):
-        path = simulate_ctrw(spec, lam, jumps, t, stream)
-        # jumps are symmetric, so the transform is real and equals E[cos kX]
-        vals[i] = math.cos(k * path.position_at(t))
+    positions = _ctrw_positions(spec, lam, jumps, t, n, RngStream(seed, base).generator)
+    # jumps are symmetric, so the transform is real and equals E[cos kX]
+    vals = np.cos(k * positions)
     se = float(np.std(vals, ddof=1)) / math.sqrt(n)
     z = abs(float(np.mean(vals)) - model) / se
     return [_case("ctrw_transform_z", z, 3.0)]

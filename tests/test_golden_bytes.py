@@ -4,7 +4,10 @@ The series, sample and pmf values below were produced by the
 implementation that kept one asymptotic-series routine per caller and
 one ``isinstance`` ladder per subordinator operation; the suite report
 digests by the one that checked the pmf series roundoff on a 2000-term
-array and integrated the stable density at every point.  The tests
+array and integrated the stable density at every point; the running
+maximum digests by the one that took ``cumsum`` and ``max`` over every
+block's rows, however narrow (``theorem51`` is re-pinned for its
+n-path time-change kernel, which reads the stream in another order).  The tests
 compare ``repr`` strings and SHA-256 digests, not tolerances: refactors
 of those layers must keep the output bytes identical.
 """
@@ -18,6 +21,7 @@ import pytest
 from fracpoisson import fpp_pmf, ml_one, prabhakar
 from fracpoisson.cli import main
 from fracpoisson.distributions import _pmf_far_tail
+from fracpoisson.samplers import RngStream, sample_brownian_running_max
 
 # (beta, z, repr) on the asymptotic branch of ml_one (-z above the switch)
 ML_ONE_ASYMPTOTIC = [
@@ -104,9 +108,16 @@ SUITE_DIGESTS = [
     ("theorem23", "2b170c73299bff1d8029a7558b443b349b45dc879a35e9a9cf427cc7b4ecfc2f"),
     ("theorem31", "1b906fdf1966ef320b99bd26f5860db8d30a3957365ce132990f4879bd3a6ff5"),
     ("theorem41", "708c30c07c9471d34a60d72249bdb65b9a42fe2ba647de20afe887854fe96d93"),
-    ("theorem51", "b6c392d6c123576ba7f8240389bb1060f7f49466c8f54a38c3c3ef5f1db46c95"),
+    ("theorem51", "cfa2126df4bbcbe394cbd14de0e31924cb8913a9cb53a80222cf8fbae7517263"),
     ("distributed", "3065b67f994a4088b7a39143fd6a40a61d0bbac9abc39b059f549e05eaa23e50"),
     ("fraccalc", "9ac1d7626dc71d155b195ae6d43433e1fa387c1ae474f415cb2e0fbddbfa12f5"),
+]
+
+# (t, n_steps, stream_id, size, sha256) of the seed-42 running maxima's bytes:
+# 1e5 paths take 2 steps per block, 1000 paths take the 1000 steps at once
+RUNNING_MAX_DIGESTS = [
+    (1.0, 40, 0, 100_000, "37da591f0f20d2985dffc0e131bcdf67ed938d8717b54f0ca7deaecab19a38a9"),
+    (1.0, 1000, 1, 1000, "7e46a0c9ab69f9f7405aae3c40dc40af9b76e353e55e32c688401eb82d060c4a"),
 ]
 
 
@@ -171,3 +182,10 @@ def test_suite_report_digest(suite, digest, tmp_path):
     report = tmp_path / "report.json"
     _cli_stdout(["check", "--suite", suite, "--seed", "42", "--output", str(report)])
     assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("t, n_steps, stream_id, size, digest", RUNNING_MAX_DIGESTS,
+                         ids=["narrow-blocks", "wide-block"])
+def test_running_max_digest(t, n_steps, stream_id, size, digest):
+    draws = sample_brownian_running_max(t, n_steps, RngStream(42, stream_id), size=size)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest

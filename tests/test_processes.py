@@ -234,8 +234,8 @@ class TestArrayAssembly:
             assert repr(simulate_fpp(beta, lam, horizon, RngStream(SEED, i))) == repr(want)
 
     @pytest.mark.parametrize("lam, horizon", RUNS)
-    @pytest.mark.parametrize("spec", [*map(Stable, BETAS), StableMixture((0.5, 0.5), (0.3, 0.8))],
-                             ids=repr)
+    @pytest.mark.parametrize("spec", [*map(Stable, BETAS), TemperedStable(0.5, 1.0),
+                                      StableMixture((0.5, 0.5), (0.3, 0.8))], ids=repr)
     def test_timechange(self, spec, lam, horizon):
         for i in range(self.N_PATHS):
             gen = RngStream(SEED, i).generator
@@ -323,6 +323,65 @@ class TestSimulateCtrw:
         for i in range(5):
             simulate_ctrw(Stable(0.7), 1.0, jumps, 3.0, RngStream(SEED, i))
         assert len(calls) == 5
+
+
+class TestPathKernel:
+    """The n-path time-change kernel behind ``theorem51``.  It reads its
+    stream in pass order, so it is checked by law against the one-path
+    route (whose bytes ``TestArrayAssembly`` pins), not by bytes."""
+
+    SPECS = [Stable(0.6), TemperedStable(0.5, 1.0), StableMixture((0.5, 0.5), (0.3, 0.8))]
+
+    @pytest.mark.parametrize("beta, lam, t", [(0.5, 1.0, 1.0), (0.8, 3.0, 2.0)])
+    def test_mean_count(self, beta, lam, t):
+        counts = processes._timechange_counts(Stable(beta), lam, t, 20_000,
+                                              RngStream(SEED, 40).generator)
+        se = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - lam * t ** beta / math.gamma(1.0 + beta)) < 5.0 * se
+
+    @pytest.mark.parametrize(
+        "spec, lam", [(Stable(0.7), 20.0), *((s, 2.0) for s in SPECS)],
+        ids=["Stable-many-passes", *(type(s).__name__ for s in SPECS)],
+    )
+    def test_counts_match_one_path_route(self, spec, lam):
+        n, t = 4000, 1.0
+        batched = processes._timechange_counts(spec, lam, t, n, RngStream(SEED, 41).generator)
+        stream = RngStream(SEED, 42)
+        single = [simulate_timechange_renewal(spec, lam, t, stream).count_at(t)
+                  for _ in range(n)]
+        assert ks_two_sample(batched, single).p_value > 0.01
+
+    def test_positions_sum_each_paths_jumps(self):
+        # positive sizes, so a position is 0.0 exactly when its path has no jump
+        jumps = JumpDist(((1.0, 0.5), (3.0, 0.5)))
+        spec, lam, t, n = Stable(0.5), 1.0, 0.3, 2000
+        gen = RngStream(SEED, 43).generator
+        counts = processes._timechange_counts(spec, lam, t, n, gen)
+        sizes = jumps._draw(gen, int(counts.sum()))
+        got = processes._ctrw_positions(spec, lam, jumps, t, n, RngStream(SEED, 43).generator)
+        ends = np.cumsum(counts)
+        want = [math.fsum(sizes[e - c:e]) for c, e in zip(counts, ends)]
+        assert got.tolist() == want
+        assert (counts == 0).any() and (counts > 0).any()
+        assert (got[counts == 0] == 0.0).all() and (got[counts > 0] > 0.0).all()
+
+    def test_passes_are_bounded(self):
+        sizes = []
+
+        class Recording(Stable):
+            def increments(self, dts, gen):
+                sizes.append(dts.size)
+                return super().increments(dts, gen)
+
+        processes._timechange_counts(Recording(0.5), 5.0, 2.0, 50_000,
+                                     RngStream(SEED, 44).generator)
+        assert len(sizes) > 1 and max(sizes) <= processes._PASS_DRAWS
+
+    def test_distributed_order_unsupported(self):
+        jumps = JumpDist(((1.0, 0.5), (-1.0, 0.5)))
+        with pytest.raises(UnsupportedSamplingError):
+            processes._ctrw_positions(DistributedOrder((1.0,)), 1.0, jumps, 1.0, 10,
+                                      RngStream(SEED).generator)
 
 
 class TestPrelimitBernoulli:
