@@ -12,14 +12,12 @@ non-integer counts raise DomainError.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
@@ -33,9 +31,15 @@ from .special import (
 from .transforms import (
     DistributedOrder,
     Stable,
+    _ContourOverflow,
+    _invert_talbot_array,
+    _power,
     _require_spec,
     _talbot_contour,
     _talbot_result,
+    _talbot_rule,
+    _talbot_sum,
+    integrate,
     laplace_exponent,
     laplace_invert,
     spec_to_json,
@@ -56,16 +60,6 @@ __all__ = [
     "fpp_pmf_table",
     "general_pmf_table",
 ]
-
-
-def _clog(s):
-    return cmath.log(s) if isinstance(s, complex) else math.log(s)
-
-
-def _cexp(w):
-    if isinstance(w, complex):
-        return cmath.exp(w)
-    return math.exp(w) if w > -745.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +152,9 @@ def _pmf_by_inversion(beta, lam, t, n):
     counts comparable to or beyond lam t**beta at large times, where both
     z**n and lam**n overflow long before the pmf value does.
     """
-    ln_lam = math.log(lam)
-
-    def transform(s):
-        ls = _clog(s)
-        w = (beta - 1.0) * ls + n * ln_lam - (n + 1.0) * _clog(lam + _cexp(beta * ls))
-        return _cexp(w)
-
-    value = _invert_with_fallback(transform, t, noise_floor=1e-9)
+    value = _invert_with_fallback(
+        lambda s: _pmf_transform(_power(s, beta), s, lam, n), t, noise_floor=1e-9
+    )
     return min(max(value, 0.0), 1.0)
 
 
@@ -184,29 +173,45 @@ def pmf_laplace(spec, lam, n, s):
     n = _count("count", n)
     if s == 0:
         raise DomainError(f"pmf transform needs s != 0, got {s!r}")
-    return _pmf_transform(laplace_exponent(spec, s), s, lam, n)
+    value = _pmf_transform(laplace_exponent(spec, s), s, lam, n)
+    return complex(value) if isinstance(s, complex) else float(value)
 
 
 def _pmf_transform(psi, s, lam, n):
-    """pmf_laplace at s, given psi = psi(s) and checked lam and n."""
+    """pmf_laplace at s, given psi = psi(s) and checked lam and n.
+
+    Elementwise on arrays: s and psi may be ndarrays of contour nodes and
+    n an integer or a column of counts, one row per count.
+    """
     # log-space assembly: lam**n and (lam + psi)**(n+1) overflow for large
     # counts even though their ratio is a bounded transform value
-    w = _clog(psi) - _clog(s) + n * math.log(lam) - (n + 1.0) * _clog(lam + psi)
-    return _cexp(w)
+    w = np.log(psi) - np.log(s) + n * math.log(lam) - (n + 1.0) * np.log(lam + psi)
+    return np.exp(w)
 
 
 def _invert_with_fallback(F, t, noise_floor=0.0):
-    """Talbot first; on instability retry with Gaver-Stehfest."""
+    """Talbot on the node array first; where its noise guard fails, retry
+    with Gaver-Stehfest.  A transform that overflows on the contour is an
+    error, not retried."""
     try:
-        return laplace_invert(F, t, method="talbot", noise_floor=noise_floor)
+        return _invert_talbot_array(F, t, noise_floor)
+    except _ContourOverflow:
+        raise
     except EvaluationError as first:
-        try:
+        return _stehfest_retry(F, t, noise_floor, first)
+
+
+def _stehfest_retry(F, t, noise_floor, first):
+    """Gaver-Stehfest inversion after the Talbot failure first; F is
+    called at real scalars."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return laplace_invert(F, t, method="stehfest", noise_floor=noise_floor)
-        except EvaluationError as second:
-            raise EvaluationError(
-                f"both inversion methods failed: talbot ({first}), "
-                f"stehfest ({second})"
-            ) from second
+    except EvaluationError as second:
+        raise EvaluationError(
+            f"both inversion methods failed: talbot ({first}), "
+            f"stehfest ({second})"
+        ) from second
 
 
 def general_pmf(spec, lam, t, n):
@@ -220,10 +225,40 @@ def general_pmf(spec, lam, t, n):
     _positive("rate", lam)
     n = _count("count", n)
     _require_spec(spec)
-    value = _invert_with_fallback(
-        lambda s: _pmf_transform(spec.psi(s), s, lam, n), t, noise_floor=1e-10
-    )
-    return min(max(value, 0.0), 1.0)
+    return _general_pmf_rows(spec, lam, t, n, n + 1)[0]
+
+
+_TABLE_BLOCK = 2048  # counts per array of contour terms, 1 MB at 32 nodes
+
+
+def _general_pmf_rows(spec, lam, t, first, stop):
+    """general_pmf(spec, lam, t, n) for n in range(first, stop), from one psi call.
+
+    The transforms of the counts form (counts x nodes) arrays on one
+    Talbot contour.  Each row keeps its own noise guard; a row that fails
+    it is retried with Gaver-Stehfest alone, and a row whose transform
+    overflows on the contour raises.
+    """
+    noise_floor = 1e-10
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s, weights = _talbot_rule(t)
+        psi = spec.psi(s)
+    out = []
+    for lo in range(first, stop, _TABLE_BLOCK):
+        counts = np.arange(lo, min(lo + _TABLE_BLOCK, stop))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            terms = weights * _pmf_transform(psi, s, lam, counts[:, None])
+        for n, row in zip(counts.tolist(), terms):
+            try:
+                value = _talbot_sum(row, t, noise_floor)
+            except _ContourOverflow:
+                raise
+            except EvaluationError as exc:
+                value = _stehfest_retry(
+                    lambda x: _pmf_transform(spec.psi(x), x, lam, n), t, noise_floor, exc
+                )
+            out.append(min(max(value, 0.0), 1.0))
+    return out
 
 
 def waiting_survival_general(spec, lam, t):
@@ -435,6 +470,8 @@ def inverse_stable_density(beta, x, t):
     if (ln_power - xs.real).max() > 700.0 or expo.real.max() > 700.0:
         return inverse_stable_density_quadrature(beta, x, t)
     terms = np.exp(expo)
+    re, mag = terms.real, np.abs(terms)
+    cut = _DENSITY_RULES[0]
     # In the far field (x well past the bulk of h(., t)) the true value
     # sits below what the contour sum can resolve: both roundoff and the
     # M-term discretization error dwarf it.  Roundoff is caught by the
@@ -442,10 +479,8 @@ def inverse_stable_density(beta, x, t):
     # agree.  Either failure reroutes to the first-passage quadrature,
     # which stays accurate at any x.
     try:
-        v32, v28 = (
-            _talbot_result(float(part.real.sum()), float(np.abs(part).max()), t, 1e-9)
-            for part in np.split(terms, [_DENSITY_RULES[0]])
-        )
+        v32 = _talbot_result(float(re[:cut].sum()), float(mag[:cut].max()), t, 1e-9)
+        v28 = _talbot_result(float(re[cut:].sum()), float(mag[cut:].max()), t, 1e-9)
     except EvaluationError:
         return inverse_stable_density_quadrature(beta, x, t)
     if abs(v32 - v28) > max(1e-9, 1e-7 * abs(v32)):
@@ -637,6 +672,6 @@ def general_pmf_table(spec, lam, t):
         return fpp_pmf_table(spec.beta, lam, t, params_extra={"spec": spec_to_json(spec)})
     psi_one = laplace_exponent(spec, 1.0)
     n_star, bound = _truncation_index(lam, psi_one, t)
-    rows = tuple((n, general_pmf(spec, lam, t, n)) for n in range(n_star + 1))
+    rows = tuple(enumerate(_general_pmf_rows(spec, lam, t, 0, n_star + 1)))
     params = {"process": "timechange", "spec": spec_to_json(spec), "lam": lam}
     return _computed_table(t, params, rows, bound)

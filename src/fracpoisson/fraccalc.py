@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 from .errors import DomainError, OffGridError, ResolutionError
 from .errors import _count, _nonnegative, _positive, _unit_interval
-from .transforms import DistributedOrder, _gl_nodes
+from .transforms import DistributedOrder, _gl_nodes, integrate
 
 __all__ = [
     "SampledFunction",

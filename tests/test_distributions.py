@@ -7,6 +7,8 @@ density constants additionally agree with the convergent series for the
 stable density and the first-passage scaling relation.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -21,6 +23,7 @@ from scipy import integrate, stats
 from scipy.special import gammaln
 
 from fracpoisson import distributions
+from fracpoisson.cli import main
 from fracpoisson.distributions import (
     PmfTable,
     distributed_order_survival_kochubei,
@@ -50,6 +53,7 @@ from fracpoisson.transforms import (
     StableMixture,
     TemperedStable,
     laplace_exponent,
+    spec_to_json,
 )
 
 # P(N(t) = n) for beta = 0.5, lam = 1: (t, n, probability, rel tolerance).
@@ -719,7 +723,10 @@ class TestPmfTable:
 
     def test_computed_rows_missing_mass_are_evaluation_errors(self, monkeypatch):
         monkeypatch.setattr("fracpoisson.distributions.fpp_pmf", lambda *args: 0.0)
-        monkeypatch.setattr("fracpoisson.distributions.general_pmf", lambda *args: 0.0)
+        monkeypatch.setattr(
+            "fracpoisson.distributions._general_pmf_rows",
+            lambda spec, lam, t, first, stop: [0.0] * (stop - first),
+        )
         with pytest.raises(EvaluationError):
             fpp_pmf_table(0.5, 1.0, 1.0)
         with pytest.raises(EvaluationError):
@@ -753,3 +760,156 @@ class TestPmfTable:
         total = math.fsum(p for _, p in table.rows)
         assert total + table.tail_mass_bound == pytest.approx(1.0, abs=1e-7)
         assert table.rows[0][1] == pytest.approx(0.22451918779953368, rel=1e-7)
+
+
+TABLE_SPECS = [
+    TemperedStable(0.5, 1.0),
+    StableMixture((0.5, 0.5), (0.4, 0.8)),
+    DistributedOrder((0.5, 1.0)),
+]
+
+
+class TestArrayInversionRoute:
+    """Each inversion evaluates its transform once, on the Talbot node array."""
+
+    @staticmethod
+    def _count_psi(monkeypatch, cls):
+        shapes = []
+        original = cls.psi
+
+        def counted(self, s):
+            shapes.append(np.shape(s))
+            return original(self, s)
+
+        monkeypatch.setattr(cls, "psi", counted)
+        return shapes
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: type(s).__name__)
+    def test_table_rows_are_the_point_values(self, spec):
+        for lam, t in ((1.0, 0.5), (2.0, 3.0), (0.5, 0.01)):
+            table = general_pmf_table(spec, lam, t)
+            assert [repr(p) for _, p in table.rows] == [
+                repr(general_pmf(spec, lam, t, n)) for n, _ in table.rows
+            ]
+
+    def test_rows_do_not_depend_on_the_block_size(self, monkeypatch):
+        spec = TemperedStable(0.5, 1.0)
+        whole = general_pmf_table(spec, 1.0, 0.5).rows
+        monkeypatch.setattr(distributions, "_TABLE_BLOCK", 7)
+        assert general_pmf_table(spec, 1.0, 0.5).rows == whole
+
+    def test_general_pmf_calls_psi_once_per_inversion(self, monkeypatch):
+        shapes = self._count_psi(monkeypatch, TemperedStable)
+        general_pmf(TemperedStable(0.5, 1.0), 1.0, 1.0, 3)
+        assert shapes == [(32,)]
+
+    def test_general_pmf_table_calls_psi_once_per_table(self, monkeypatch):
+        shapes = self._count_psi(monkeypatch, StableMixture)
+        table = general_pmf_table(StableMixture((0.5, 0.5), (0.4, 0.8)), 1.0, 0.5)
+        assert len(table.rows) > 30
+        # psi(1) sets the truncation index; one node array serves every row
+        assert shapes == [(), (32,)]
+
+    def test_a_failing_row_is_retried_with_stehfest_alone(self, monkeypatch):
+        spec, lam, t = TemperedStable(0.5, 1.0), 1.0, 0.5
+        expected = [p for _, p in general_pmf_table(spec, lam, t).rows]
+        original = distributions._talbot_sum
+        seen = []
+
+        def third_row_fails(terms, *args):
+            seen.append(None)
+            if len(seen) == 3:
+                raise EvaluationError("noise guard")
+            return original(terms, *args)
+
+        methods = []
+        invert = distributions.laplace_invert
+        monkeypatch.setattr(distributions, "_talbot_sum", third_row_fails)
+        monkeypatch.setattr(
+            distributions,
+            "laplace_invert",
+            lambda F, t, method, **kw: methods.append(method) or invert(F, t, method, **kw),
+        )
+        rows = [p for _, p in general_pmf_table(spec, lam, t).rows]
+        assert methods == ["stehfest"]
+        assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
+        assert rows[2] == pytest.approx(expected[2], rel=1e-6)
+
+    def test_overflow_on_the_contour_is_not_retried(self, monkeypatch):
+        # the Talbot terms of these counts are not finite; Gaver-Stehfest
+        # would answer with noise near 1e-4 where the pmf is below 1e-50
+        methods = []
+        invert = distributions.laplace_invert
+        monkeypatch.setattr(
+            distributions,
+            "laplace_invert",
+            lambda F, t, method, **kw: methods.append(method) or invert(F, t, method, **kw),
+        )
+        for n in (574, 600):
+            with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
+                general_pmf(Stable(0.999), 50.0, 5.0, n)
+            with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
+                fpp_pmf(0.999, 50.0, 5.0, n)
+        assert methods == []
+
+
+class TestInversionOracle:
+    """Values pinned from the array Talbot route, against mpmath's Talbot
+    inversion of the exact transform at 40 and at 60 digits."""
+
+    @staticmethod
+    def _mp_psi(mpmath, spec):
+        if isinstance(spec, Stable):
+            return lambda s: s ** mpmath.mpf(spec.beta)
+        if isinstance(spec, TemperedStable):
+            b, a = mpmath.mpf(spec.beta), mpmath.mpf(spec.a)
+            return lambda s: (s + a) ** b - a ** b
+        if isinstance(spec, StableMixture):
+            pairs = [(mpmath.mpf(w), mpmath.mpf(b)) for w, b in zip(spec.weights, spec.betas)]
+            return lambda s: sum(w * s ** b for w, b in pairs)
+        c0, c1 = (mpmath.mpf(c) for c in spec.poly)  # int_0^1 s**b (c0 + c1 b) db
+
+        def psi(s):
+            ln_s = mpmath.log(s)
+            return c0 * (s - 1) / ln_s + c1 * (s / ln_s - (s - 1) / ln_s ** 2)
+
+        return psi
+
+    def _oracle(self, spec, lam, t, n):
+        mpmath = pytest.importorskip("mpmath")
+        values = []
+        for dps in (40, 60):
+            with mpmath.workdps(dps):
+                psi = self._mp_psi(mpmath, spec)
+                lam_mp = mpmath.mpf(lam)
+
+                def F(s):
+                    p = psi(s)
+                    return p / s * lam_mp ** n / (lam_mp + p) ** (n + 1)
+
+                values.append(mpmath.invertlaplace(F, mpmath.mpf(t), method="talbot"))
+        assert abs(values[0] - values[1]) < 1e-30
+        return float(values[1])
+
+    @pytest.mark.parametrize(
+        "beta, lam, t, n", [(0.5, 1.0, 30.0, 10), (0.7, 2.0, 10.0, 5), (0.9, 1.0, 20.0, 3)]
+    )
+    def test_inversion_routed_fpp_pmf(self, beta, lam, t, n):
+        assert fpp_pmf(beta, lam, t, n) == pytest.approx(
+            self._oracle(Stable(beta), lam, t, n), abs=1e-10
+        )
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=lambda s: type(s).__name__)
+    def test_pinned_pmf_spec_table_rows(self, spec):
+        # the rows of ``pmf --spec <spec> --lambda 1 --t 0.5``, as pinned
+        # in test_golden_bytes.py
+        out = io.StringIO()
+        argv = ["pmf", "--spec", json.dumps(spec_to_json(spec)), "--lambda", "1", "--t", "0.5"]
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        rows = [line.split(",") for line in out.getvalue().splitlines()[2:]]
+        for n in (0, 1, 5, 10, len(rows) - 1):
+            assert int(rows[n][0]) == n
+            assert float(rows[n][1]) == pytest.approx(
+                self._oracle(spec, 1.0, 0.5, n), abs=1e-10
+            )

@@ -7,18 +7,21 @@ integrals, cross-checked against the incomplete-gamma closed forms.
 import cmath
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpoisson.distributions import general_pmf
+from fracpoisson.distributions import fpp_pmf, general_pmf
 from fracpoisson.errors import DomainError, EvaluationError
 from fracpoisson.processes import simulate_timechange_renewal
 from fracpoisson.samplers import RngStream, sample_subordinator_at
 from fracpoisson.special import ml_one
 from fracpoisson.transforms import (
+    _invert_talbot_array,
+    _talbot_rule,
     DistributedOrder,
     JumpDist,
     Stable,
@@ -401,6 +404,121 @@ class TestLaplaceInvert:
         expected = repr(self._talbot_loop(F, t, terms))
         for _ in range(2):  # the contour is built once, then read from the cache
             assert repr(laplace_invert(F, t, terms=terms)) == expected
+
+
+def _node_doubling_psi(spec, s):
+    """DistributedOrder.psi at one complex s, written out as the scalar
+    loop over 48, 96 and 192 Gauss-Legendre nodes, as a reference.
+    Returns the value and the node count of the rule it stopped at."""
+    ln_s = cmath.log(s)
+    prev = None
+    for n in (48, 96, 192):
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes = 0.5 * (x + 1.0)
+        total = (0.5 * w * spec.weight(nodes) * np.exp(nodes * ln_s)).sum()
+        if prev is not None and abs(total - prev) <= 1e-12 * max(1.0, abs(total)):
+            break
+        prev = total
+    return total, n
+
+
+class TestArrayPsi:
+    """Every family's psi takes an ndarray of complex s, elementwise."""
+
+    @staticmethod
+    def _scalar_psi(spec, s):
+        if isinstance(spec, DistributedOrder):
+            return _node_doubling_psi(spec, s)[0]
+        return spec.psi(s)
+
+    @pytest.mark.parametrize("t", [0.01, 1.0, 30.0])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_array_matches_scalar_at_the_talbot_nodes(self, spec, t):
+        s = _talbot_rule(t)[0]
+        expected = np.array([self._scalar_psi(spec, complex(sk)) for sk in s])
+        np.testing.assert_allclose(spec.psi(s), expected, rtol=1e-13, atol=0.0)
+
+    def test_distributed_order_takes_the_finest_rule_node_by_node(self):
+        # at |log s| ~ 460 the 48- and 96-node rules disagree, so the
+        # scalar loop goes on to 192 nodes; the array keeps that choice
+        # for those entries only
+        spec = DistributedOrder((0.5, 1.0))
+        s = np.array([1e-200 + 0j, 0.5 + 2.0j, 1e200 + 0j, 3.0 + 0j])
+        reference = [_node_doubling_psi(spec, complex(sk)) for sk in s]
+        assert [n for _, n in reference] == [192, 96, 192, 96]
+        np.testing.assert_allclose(
+            spec.psi(s), [v for v, _ in reference], rtol=1e-13, atol=0.0
+        )
+
+    def test_scalar_types_are_kept(self):
+        for spec in ALL_SPECS:
+            assert type(spec.psi(2.0)) is float
+            assert type(spec.psi(2.0 + 1.0j)) is complex
+
+
+class TestArrayTalbot:
+    """The package's own inversions: one call of F on the node array."""
+
+    @pytest.mark.parametrize("t", [0.3171, 1.9, 7.5])
+    def test_agrees_with_the_node_loop_within_contour_roundoff(self, t):
+        # the two sums differ only by the roundoff of terms that cancel
+        # from about 1e5 times the result, so not bit for bit
+        beta = 0.6
+        F = lambda s: s ** (beta - 1.0) / (s**beta + 1.0)
+        got = _invert_talbot_array(F, t, 0.0)
+        assert got == pytest.approx(laplace_invert(F, t), rel=1e-10)
+        assert got == pytest.approx(ml_one(beta, -t**beta), rel=1e-10)
+
+    def test_one_call_per_inversion(self):
+        calls = []
+
+        def F(s):
+            calls.append(s.shape)
+            return 1.0 / (s + 1.0)
+
+        assert _invert_talbot_array(F, 2.0, 0.0) == pytest.approx(math.exp(-2.0), rel=1e-10)
+        assert calls == [(32,)]
+
+    def test_overflow_on_the_contour_is_an_evaluation_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError):
+                _invert_talbot_array(lambda s: np.exp(1000.0 * s), 1.0, 0.0)
+            with pytest.raises(EvaluationError):
+                _invert_talbot_array(lambda s: np.log(s * 0.0), 1.0, 0.0)
+
+    def test_general_pmf_where_the_transform_overflows_on_the_contour(self):
+        # lam/(lam + psi) exceeds 1 in modulus at some nodes, so its n-th
+        # power overflows there.  The pmf there lies far below what any
+        # inversion resolves, and a Gaver-Stehfest retry returns noise near
+        # 1e-4, so the result must be an EvaluationError or a value under
+        # the Chernoff bound exp(t s) (lam/(lam + psi(s)))**n, with no warning
+        spec, lam, t = Stable(0.999), 50.0, 5.0
+        s = np.logspace(-2.0, 6.0, 4001)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (574, 600, 2000):
+                chernoff = math.exp(
+                    (t * s + n * (math.log(lam) - np.log(lam + spec.psi(s)))).min()
+                )
+                assert chernoff < 1e-50
+                with pytest.raises(EvaluationError):
+                    _invert_talbot_array(
+                        lambda s: spec.psi(s) / s * np.exp(
+                            n * math.log(lam) - (n + 1.0) * np.log(lam + spec.psi(s))
+                        ),
+                        t,
+                        1e-10,
+                    )
+                for pmf in (
+                    lambda: general_pmf(spec, lam, t, n),
+                    lambda: fpp_pmf(spec.beta, lam, t, n),
+                ):
+                    try:
+                        value = pmf()
+                    except EvaluationError:
+                        continue
+                    assert 0.0 <= value <= chernoff
 
 
 class TestBernsteinIdentity:
