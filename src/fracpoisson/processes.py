@@ -13,10 +13,14 @@ deliberately independent so they can be tested against each other:
 Also here: CTRW paths driven by those renewal times, the Bernoulli
 prelimit walk whose law converges to the fractional counting process,
 and grid-path inversion with its left-limit consistency check.  A
-private n-path kernel (``_timechange_counts``, ``_ctrw_positions``)
-draws N(t) and the CTRW position X(t) of many time-change paths at one
-time t in bounded array passes, without building the paths.  Times,
-horizons, rates and jump data must be finite, else DomainError.
+private n-path renewal kernel (``_renewal_counts``) counts many paths
+at one time t in bounded array passes, without building the paths; it
+reads its waits from a callable.  With time-change waits it gives N(t)
+and the CTRW position X(t) (``_timechange_counts``,
+``_ctrw_positions``), with Mittag-Leffler waits the prelimit values
+(``_prelimit_values``, which ``ctrw_prelimit_bernoulli`` runs for one
+path).  Times, horizons, rates and jump data must be finite, else
+DomainError.
 """
 
 from __future__ import annotations
@@ -203,37 +207,48 @@ def _timechange_times(spec, lam, horizon, gen):
         clock[0], jumps[0] = clock[-1], jumps[-1]
 
 
-_PASS_DRAWS = 2 ** 15  # arrivals per pass of the n-path kernel: bounds its memory
+_PASS_DRAWS = 2 ** 15  # waits per pass of the n-path kernel: bounds its memory
 
 
-def _timechange_counts(spec, lam, t, n, gen):
-    """Counts N(t) of n independent time-changed paths, in array passes.
+def _renewal_counts(wait, t, n):
+    """Counts N(t) of n independent renewal paths, in array passes.
 
-    Each pass advances up to _PASS_DRAWS // width open paths by ``width``
-    arrivals: the clock gaps are the rate-lam exponentials themselves,
-    one ``spec.increments`` call covers every gap of the pass, and a row
-    cumsum gives the jump times D(V_k).  A path closes at its first jump
-    past t; paths still open rejoin the queue behind the ones not yet
+    ``wait(k)`` returns the next k waiting times of the stream.  Each
+    pass advances up to _PASS_DRAWS // width open paths by ``width``
+    renewals: one ``wait`` call fills the pass row by row, and a row
+    cumsum gives the jump times.  A path closes at its first jump past
+    t; paths still open rejoin the queue behind the ones not yet
     advanced.  The width is 4 while many paths are open and grows to
     _BATCH as they close.
     """
-    _positive("time", t)
-    _positive("rate", lam)
-    _require_spec(spec)
     counts = np.zeros(n, dtype=np.intp)
     tau = np.zeros(n)  # each path's last jump time
     open_ = np.arange(n)
     while open_.size:
         width = min(max(_PASS_DRAWS // open_.size, 4), _BATCH)
         rows = open_[: _PASS_DRAWS // width]
-        gaps = gen.standard_exponential((rows.size, width)) / lam
-        d = spec.increments(gaps.ravel(), gen).reshape(gaps.shape)
+        d = wait(rows.size * width).reshape(rows.size, width)
         np.cumsum(d, axis=1, out=d)
         d += tau[rows, None]
         counts[rows] += (d <= t).sum(axis=1)
         tau[rows] = d[:, -1]
         open_ = np.concatenate((open_[rows.size:], rows[d[:, -1] <= t]))
     return counts
+
+
+def _timechange_counts(spec, lam, t, n, gen):
+    """Counts N(t) of n independent time-changed paths.
+
+    The waits are D(V_k) - D(V_{k-1}): the clock gaps are the rate-lam
+    exponentials themselves, and one ``spec.increments`` call covers
+    every gap of a pass.
+    """
+    _positive("time", t)
+    _positive("rate", lam)
+    _require_spec(spec)
+    return _renewal_counts(
+        lambda k: spec.increments(gen.standard_exponential(k) / lam, gen), t, n
+    )
 
 
 def _ctrw_positions(spec, lam, jumps, t, n, gen):
@@ -276,6 +291,21 @@ def simulate_ctrw(spec, lam, jumps, horizon, rng):
     return CTRWPath(times, sizes.tolist(), horizon)
 
 
+def _prelimit_values(beta, lam, c, t, n, gen):
+    """n independent draws of the Bernoulli prelimit at time t, as an array.
+
+    The renewal counts R(c t) of n rate-1 Mittag-Leffler paths come from
+    ``_renewal_counts``; then one Binomial(floor(lam R), c**-beta) draw
+    per path, in path order.
+    """
+    if not 1.0 < c < math.inf:
+        raise DomainError(f"scale must be finite and exceed 1, got {c!r}")
+    _positive("time", t)
+    _positive("rate", lam)
+    counts = _renewal_counts(lambda k: sample_ml_waiting(beta, 1.0, gen, size=k), c * t, n)
+    return gen.binomial(np.floor(lam * counts).astype(np.int64), c ** (-beta))
+
+
 def ctrw_prelimit_bernoulli(beta, lam, c, t, rng):
     """One draw of the Bernoulli prelimit of the fractional count at time t.
 
@@ -284,27 +314,7 @@ def ctrw_prelimit_bernoulli(beta, lam, c, t, rng):
     horizon p**(-1/beta) t = c t; the value is Binomial(floor(lam R), p).
     As c grows this law converges to the fractional Poisson pmf at t.
     """
-    if not 1.0 < c < math.inf:
-        raise DomainError(f"scale must be finite and exceed 1, got {c!r}")
-    _positive("time", t)
-    _positive("rate", lam)
-    gen = _generator(rng)
-    p = c ** (-beta)
-    stretched = c * t
-    count = 0
-    elapsed = 0.0
-    while True:
-        batch = sample_ml_waiting(beta, 1.0, gen, size=64)
-        cum = elapsed + np.cumsum(batch)
-        past = np.searchsorted(cum, stretched, side="right")
-        count += int(past)
-        if past < len(cum):
-            break
-        elapsed = float(cum[-1])
-    trials = int(math.floor(lam * count))
-    if trials == 0:
-        return 0
-    return int(gen.binomial(trials, p))
+    return int(_prelimit_values(beta, lam, c, t, 1, _generator(rng))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import chdtrc, gammaln, kolmogorov, xlog1py, xlogy
 
 from .distributions import (
     distributed_order_survival_kochubei,
@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .errors import DomainError, _count, _nonnegative
 from .fraccalc import SampledFunction, caputo, governing_residual
-from .processes import _ctrw_positions, ctrw_prelimit_bernoulli
+from .processes import _ctrw_positions, _prelimit_values
 from .samplers import (
     RngStream,
     sample_brownian_running_max,
@@ -208,26 +208,83 @@ def _suite_theorem22(seed, base):
     return cases
 
 
+def _pmf_rows(beta, lam, t):
+    """fpp_pmf rows from n = 0 to the first row past the mean below 1e-16."""
+    mean = lam * t ** beta / math.gamma(1.0 + beta)
+    rows = [fpp_pmf(beta, lam, t, 0)]
+    while len(rows) <= mean or rows[-1] >= 1e-16:
+        rows.append(fpp_pmf(beta, lam, t, len(rows)))
+    return np.array(rows)
+
+
+def _binomial_pmf(trials, p):
+    """Binomial(trials, p) pmf at 0..trials, from log-gamma terms."""
+    k = np.arange(trials + 1)
+    return np.exp(gammaln(trials + 1) - gammaln(k + 1) - gammaln(trials - k + 1)
+                  + xlogy(k, p) + xlog1py(trials - k, -p))
+
+
+def _prelimit_law(beta, lam, c, t):
+    """Exact pmf of the Bernoulli prelimit value, and the mass of R's rows.
+
+    P(K = k) = sum_m P(R(c t) = m) Binom(floor(lam m), c**-beta)(k), with
+    R the rate-1 fractional count, summed over its ``_pmf_rows``.
+    """
+    rows = _pmf_rows(beta, 1.0, c * t)
+    trials = np.floor(lam * np.arange(rows.size)).astype(np.intp)
+    law = np.zeros(trials[-1] + 1)
+    for r, m in zip(rows, trials):
+        law[: m + 1] += r * _binomial_pmf(m, c ** (-beta))
+    return law, math.fsum(rows)
+
+
+def _tv(a, b):
+    """Total-variation distance of two pmf arrays (the shorter one padded)."""
+    size = max(a.size, b.size)
+    a, b = np.pad(a, (0, size - a.size)), np.pad(b, (0, size - b.size))
+    return 0.5 * float(np.abs(a - b).sum())
+
+
+def _chi2_p(draws, law):
+    """Pearson chi-square p-value of integer draws against a pmf array.
+
+    Counts from the first one expected fewer than 5 times upward share
+    one tail cell, itself widened until it expects 5 or more.
+    """
+    n = draws.size
+    expected = n * law
+    sparse = expected < 5.0
+    k = int(np.argmax(sparse)) if sparse.any() else law.size
+    while n - expected[:k].sum() < 5.0:
+        k -= 1
+    observed = np.bincount(np.minimum(draws, k), minlength=k + 1)
+    expected = np.append(expected[:k], n - expected[:k].sum())
+    return float(chdtrc(k, ((observed - expected) ** 2 / expected).sum()))
+
+
 def _suite_theorem23(seed, base):
-    """Bernoulli-prelimit pmf converges to the fractional counting pmf."""
-    beta, lam, t = 0.5, 1.0, 1.0
+    """Bernoulli-prelimit values against their exact law, and that law's
+    convergence to the fractional counting pmf.
+
+    At lam = 1 the prelimit is a Bernoulli thinning of R(c t) and has the
+    limit law exactly for every c; at lam = 2.5 floor(lam R) is no
+    thinning, and the exact distance falls about like c**-beta.
+    """
+    beta, lam, t = 0.5, 2.5, 1.0
     n = 10_000
+    limit = _pmf_rows(beta, lam, t)
+    cases = []
     tvs = []
     for i, c in enumerate((10.0, 100.0, 1000.0)):
-        stream = RngStream(seed, base + i)
-        draws = np.array(
-            [ctrw_prelimit_bernoulli(beta, lam, c, t, stream) for _ in range(n)]
-        )
-        nmax = max(int(draws.max()), 30)
-        model = np.array([fpp_pmf(beta, lam, t, k) for k in range(nmax + 1)])
-        emp = np.bincount(draws, minlength=nmax + 1)[: nmax + 1] / n
-        # model mass beyond nmax counts in full toward the distance
-        tail = max(0.0, 1.0 - float(model.sum()))
-        tvs.append(0.5 * (float(np.abs(emp - model).sum()) + tail))
-    return [
-        SuiteCase("tv_drop_c10_c100", tvs[1] - tvs[0], 0.0, tvs[1] < tvs[0]),
-        SuiteCase("tv_drop_c100_c1000", tvs[2] - tvs[1], 0.0, tvs[2] < tvs[1]),
-        _case("tv_final_c1000", tvs[2], 0.02),
+        law, mass = _prelimit_law(beta, lam, c, t)
+        draws = _prelimit_values(beta, lam, c, t, n, RngStream(seed, base + i).generator)
+        cases.append(_case(f"r_mass_dev_c{c:g}", abs(mass - 1.0), 1e-6))
+        cases.append(_case(f"chi2_p_c{c:g}", _chi2_p(draws, law), 1e-3, higher_passes=True))
+        tvs.append(_tv(law, limit))
+    return cases + [
+        SuiteCase("tv_exact_drop_c10_c100", tvs[1] - tvs[0], 0.0, tvs[1] < tvs[0]),
+        SuiteCase("tv_exact_drop_c100_c1000", tvs[2] - tvs[1], 0.0, tvs[2] < tvs[1]),
+        _case("tv_exact_c1000", tvs[2], 0.01),
     ]
 
 

@@ -16,6 +16,7 @@ import pytest
 
 from fracpoisson.cli import main
 from fracpoisson.processes import paths_from_csv
+from fracpoisson.samplers import sample_ml_waiting
 
 MIXTURE_SPEC = '{"variant": "StableMixture", "weights": [0.5, 0.5], "betas": [0.4, 0.8]}'
 
@@ -169,9 +170,13 @@ class TestCheck:
         assert doc["seed"] == 42
         assert all(case["pass"] for case in doc["cases"])
 
-    def test_failing_suite_exit_code(self, capsys):
-        # the thinning total-variation ordering is a coin flip at lam = 1;
-        # seed 1 is a pinned counterexample
+    def test_failing_suite_exit_code(self, monkeypatch, capsys):
+        # theorem23 fails by construction when its walks wait with order
+        # 0.45 against the exact law of order 0.5
+        monkeypatch.setattr(
+            "fracpoisson.processes.sample_ml_waiting",
+            lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
+        )
         code, out, _ = run_cli(["check", "--suite", "theorem23", "--seed", "1"],
                                capsys)
         assert code == 1

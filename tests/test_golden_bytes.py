@@ -110,7 +110,7 @@ PMF_DIGESTS = [
 
 # (suite, sha256) of the ``check --suite <suite> --seed 42 --output`` report
 SUITE_DIGESTS = [
-    ("theorem23", "2b170c73299bff1d8029a7558b443b349b45dc879a35e9a9cf427cc7b4ecfc2f"),
+    ("theorem23", "38078285540e2fc6bf8406fdd76a6c1898174beb7ae2defd9ff00b9f0ed02db0"),
     ("theorem31", "0515c7c49f52fc7bd56019f362a2fa0172f642ee1c5d2d3dd8fcb40d19abf6e1"),
     ("theorem41", "d93a7c3ca9564fdce01b736086a78d09b2fb3d9f989f5a7f1af5bb0b0bd0029d"),
     ("theorem51", "cfa2126df4bbcbe394cbd14de0e31924cb8913a9cb53a80222cf8fbae7517263"),

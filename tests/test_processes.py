@@ -377,6 +377,40 @@ class TestPathKernel:
                                      RngStream(SEED, 44).generator)
         assert len(sizes) > 1 and max(sizes) <= processes._PASS_DRAWS
 
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: type(spec).__name__)
+    def test_timechange_waits_keep_the_stream_layout(self, spec):
+        # the renewal kernel takes its waits as k = rows * width draws; the
+        # time change must read them as the (rows, width) blocks it always
+        # did.  The theorem51 report digest in test_golden_bytes pins the
+        # same bytes end to end; this checks the counts of more specs.
+        lam, t, n = 2.0, 1.0, 3000
+        gen = RngStream(SEED, 46).generator
+        counts, tau, open_ = np.zeros(n, dtype=np.intp), np.zeros(n), np.arange(n)
+        while open_.size:
+            width = min(max(processes._PASS_DRAWS // open_.size, 4), processes._BATCH)
+            rows = open_[: processes._PASS_DRAWS // width]
+            gaps = gen.standard_exponential((rows.size, width)) / lam
+            d = np.cumsum(spec.increments(gaps.ravel(), gen).reshape(gaps.shape), axis=1)
+            d += tau[rows, None]
+            counts[rows] += (d <= t).sum(axis=1)
+            tau[rows] = d[:, -1]
+            open_ = np.concatenate((open_[rows.size:], rows[d[:, -1] <= t]))
+        got = processes._timechange_counts(spec, lam, t, n, RngStream(SEED, 46).generator)
+        assert np.array_equal(got, counts)
+
+    def test_renewal_passes_are_bounded(self):
+        gen = RngStream(SEED, 45).generator
+        sizes = []
+
+        def wait(k):
+            sizes.append(k)
+            return sample_ml_waiting(0.5, 1.0, gen, size=k)
+
+        counts = processes._renewal_counts(wait, 1000.0, 10_000)
+        assert len(sizes) > 1 and max(sizes) <= processes._PASS_DRAWS
+        # each path reads up to its first jump past t
+        assert sum(sizes) >= counts.sum() + counts.size
+
     def test_distributed_order_unsupported(self):
         jumps = JumpDist(((1.0, 0.5), (-1.0, 0.5)))
         with pytest.raises(UnsupportedSamplingError):

@@ -13,12 +13,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fracpoisson import processes
 from fracpoisson.errors import DomainError
+from fracpoisson.samplers import sample_ml_waiting
 from fracpoisson.validation import (
     SUITE_NAMES,
     KSResult,
     SuiteCase,
     SuiteReport,
+    _chi2_p,
+    _pmf_rows,
+    _prelimit_law,
+    _tv,
     empirical_laplace,
     ks_two_sample,
     run_suite,
@@ -164,3 +170,58 @@ class TestRunSuite:
         assert isinstance(report, SuiteReport)
         with pytest.raises(AttributeError):
             report.seed = 0
+
+
+class TestTheorem23:
+    """The exact Bernoulli-prelimit law behind ``theorem23``, its
+    goodness-of-fit test, and the suite's power against a wrong order."""
+
+    @pytest.mark.parametrize("c", [10.0, 100.0, 1000.0])
+    def test_thinning_identity_at_unit_rate(self, c):
+        # at lam = 1, Binomial(R(c t), c**-beta) is a Bernoulli thinning of
+        # the fractional count Poisson(E(c t)), E(c t) =d c**beta E(t): the
+        # prelimit law equals the limit law for every c
+        law, _ = _prelimit_law(0.5, 1.0, c, 1.0)
+        assert _tv(law, _pmf_rows(0.5, 1.0, 1.0)) < 1e-8
+
+    def test_distance_falls_in_c_off_unit_rate(self):
+        # floor(2.5 R) is no thinning; the distance falls about like c**-1/2
+        limit = _pmf_rows(0.5, 2.5, 1.0)
+        tvs = [_tv(_prelimit_law(0.5, 2.5, c, 1.0)[0], limit) for c in (10.0, 100.0, 1000.0)]
+        assert tvs[0] > tvs[1] > tvs[2]
+        assert 0.05 < tvs[0] < 0.1 and 0.005 < tvs[2] < 0.01
+
+    @pytest.mark.parametrize("c", [10.0, 1000.0])
+    def test_law_is_a_pmf(self, c):
+        law, mass = _prelimit_law(0.5, 2.5, c, 1.0)
+        assert (law >= 0.0).all()
+        assert abs(mass - 1.0) < 1e-6 and abs(math.fsum(law) - mass) < 1e-12
+
+    def test_chi2_hand_values(self):
+        law = np.array([0.5, 0.3, 0.2])
+        exact = np.repeat([0, 1, 2], [50, 30, 20])
+        assert _chi2_p(exact, law) == pytest.approx(1.0)
+        # statistic 10**2/50 + 10**2/30 on 2 degrees of freedom, whose
+        # survival function is exp(-x/2)
+        off = np.repeat([0, 1, 2], [60, 20, 20])
+        assert _chi2_p(off, law) == pytest.approx(math.exp(-(2.0 + 10.0 / 3.0) / 2.0))
+
+    def test_chi2_pools_the_sparse_tail(self):
+        # expected 90, 8, 1.5, 0.4, 0.1: counts from 1 up share one cell of
+        # 10, so these draws (one beyond the law's support) fit exactly
+        law = np.array([0.9, 0.08, 0.015, 0.004, 0.001])
+        draws = np.repeat([0, 1, 7], [90, 4, 6])
+        assert _chi2_p(draws, law) == pytest.approx(1.0)
+
+    def test_fails_with_wrong_waiting_order(self, monkeypatch):
+        # power: order-0.45 waits behind the order-0.5 law fail every
+        # goodness-of-fit case at the reference seed; the exact cases
+        # do not depend on the sampler
+        monkeypatch.setattr(
+            processes, "sample_ml_waiting",
+            lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
+        )
+        report = run_suite("theorem23", 42)
+        assert {c.name for c in report.cases if not c.passed} == {
+            "chi2_p_c10", "chi2_p_c100", "chi2_p_c1000"
+        }
