@@ -26,6 +26,7 @@ from .special import (
     _asymptotic_series,
     _effective_switch,
     _prabhakar_series,
+    _series_rows,
     ml_waiting_survival,
 )
 from .transforms import (
@@ -95,19 +96,61 @@ def fpp_pmf(beta, lam, t, n):
         # log p <= n log z - lgamma(beta n + 1) < -370: the true value
         # sits far below the 1e-10 absolute floor of every branch.
         return 0.0
-    # z**n times a series that cancels down from its largest term carries an
-    # absolute roundoff of about z**n max_term eps, which must stay below
-    # 1e-10.  The log-term is concave in r (gamma = n + 1 > 1), so the loop
-    # met that term before it stopped; terms that all underflow round nothing.
     try:
         series, max_term = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL)
     except EvaluationError:
         return _pmf_by_inversion(beta, lam, t, n)
+    value = _pmf_from_series(z, n, series, max_term)
+    return _pmf_by_inversion(beta, lam, t, n) if value is None else value
+
+
+def _pmf_from_series(z, n, series, max_term):
+    """z**n times the Prabhakar series sum, or None where its roundoff is too large.
+
+    z**n times a series that cancels down from its largest term carries an
+    absolute roundoff of about z**n max_term eps, which must stay below
+    1e-10.  The log-term is concave in r (gamma = n + 1 > 1), so the loop
+    met that term before it stopped; terms that all underflow round nothing.
+    """
     if max_term > 0.0 and n * math.log(z) + math.log(max_term) + math.log(4.4e-16) > math.log(1e-10):
-        return _pmf_by_inversion(beta, lam, t, n)
+        return None
     value = math.exp(n * math.log(z)) * series
     # deep-tail values below series roundoff may surface as tiny negatives
     return min(max(value, 0.0), 1.0)
+
+
+def _fpp_pmf_grid(beta, lam, ts, n):
+    """[fpp_pmf(beta, lam, t, n) for t in ts], bit for bit, in one series pass.
+
+    The points on the plain series route, 0 < z = lam t**beta <= the
+    series switch with beta < 1, have their series summed together by
+    ``special._series_rows``, with z from the same scalar ``pow`` as
+    ``fpp_pmf`` (array ``ts**beta`` differs in the last bit).  Every other
+    point is a scalar ``fpp_pmf`` call: t = 0, beta = 1, z past the switch,
+    an overflowing prefactor, and a row that the array pass or a guard
+    sends elsewhere.
+    """
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
+    n = _count("count", n)
+    values = [None] * len(ts)
+    if beta < 1.0:
+        switch = _effective_switch(beta, _DEFAULT_CONTROL)
+        points = []
+        for i, t in enumerate(ts):
+            if 0.0 < t < math.inf:
+                z = lam * t ** beta
+                if 0.0 < z <= switch and n * math.log(z) <= 700.0:
+                    points.append((i, z))
+        if points:
+            # n = 0 is ml_one's power series: the same terms, its own stop rule
+            sums, tops = _series_rows(
+                n + 1.0, beta, beta * n + 1.0, [-z for _, z in points], ml=n == 0
+            )
+            for (i, z), total, top in zip(points, sums.tolist(), tops.tolist()):
+                if not math.isnan(total):
+                    values[i] = total if n == 0 else _pmf_from_series(z, n, total, top)
+    return [fpp_pmf(beta, lam, t, n) if v is None else v for t, v in zip(ts, values)]
 
 
 def _pmf_far_tail(beta, z, n):

@@ -21,6 +21,7 @@ statements.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +58,7 @@ class SampledFunction:
     @classmethod
     def from_function(cls, fn, stop, step, t0=0.0):
         """Sample ``fn`` on the finite grid t0..stop (inclusive, up to rounding)."""
-        _positive("step", step)
-        _nonnegative("grid length", stop - t0)
-        n = int(round((stop - t0) / step))
-        ts = t0 + step * np.arange(n + 1)
+        ts = _grid_times(stop, step, t0)
         return cls(t0=t0, step=step, values=tuple(float(fn(t)) for t in ts))
 
     def index_of(self, t):
@@ -73,6 +71,14 @@ class SampledFunction:
                 f"{len(self.values)} points)"
             )
         return idx
+
+
+def _grid_times(stop, step, t0=0.0):
+    """The times t0, t0 + step, ... of the finite grid t0..stop, as float64."""
+    _positive("step", step)
+    _nonnegative("grid length", stop - t0)
+    n = int(round((stop - t0) / step))
+    return t0 + step * np.arange(n + 1)
 
 
 def caputo(g, beta, t):
@@ -155,6 +161,13 @@ def distributed_order_deriv(g, nu, t):
 # governing-equation residuals
 # ---------------------------------------------------------------------------
 
+def _required(params, key):
+    try:
+        return params[key]
+    except KeyError:
+        raise DomainError(f"params must supply {key!r}") from None
+
+
 def _require_resolution(t, step):
     _positive("time", t)
     _positive("step", step)
@@ -174,17 +187,16 @@ def _half_order_density(x, t):
 
 def _residual_fpp_master(params, point):
     """|d^beta p(n, t) + lam (p(n, t) - p(n-1, t))| for the counting pmf."""
-    from .distributions import fpp_pmf
+    from .distributions import _fpp_pmf_grid, fpp_pmf
 
-    beta = params["beta"]
-    lam = params["lam"]
+    beta = _required(params, "beta")
+    lam = _required(params, "lam")
     step = params.get("step", 1e-3)
     n, t = point
     n = _count("count", n)
     _require_resolution(t, step)
-    grid = SampledFunction.from_function(
-        lambda r: fpp_pmf(beta, lam, r, n), t, step
-    )
+    # from_function's grid, with the pmf sampled in one array pass
+    grid = SampledFunction(0.0, step, _fpp_pmf_grid(beta, lam, _grid_times(t, step), n))
     lhs = caputo(grid, beta, t)
     rhs = -lam * fpp_pmf(beta, lam, t, n)
     if n > 0:
@@ -285,7 +297,9 @@ def governing_residual(kind, params, point):
         general-order diffusion-wave form specialized to beta = 1/2.
 
     params supplies beta/lam/step (step defaults to 1e-3) and, for the
-    Brownian-time kinds, optional f and f_prime callables.
+    Brownian-time kinds, optional f and f_prime callables.  A missing
+    beta or lam, a parameter or point entry that is not a real number,
+    and a point that is not a pair raise DomainError.
     """
     try:
         fn = _RESIDUAL_KINDS[kind]
@@ -294,4 +308,13 @@ def governing_residual(kind, params, point):
             f"unknown residual kind {kind!r}; choose from "
             f"{sorted(_RESIDUAL_KINDS)}"
         ) from None
-    return fn(dict(params), tuple(point))
+    try:
+        params, point = dict(params), tuple(point)
+    except (TypeError, ValueError):
+        raise DomainError("params must be a mapping and point a pair") from None
+    if len(point) != 2 or not all(isinstance(v, numbers.Real) for v in point):
+        raise DomainError(f"point must be a pair of real numbers, got {point!r}")
+    for key in ("beta", "lam", "step"):
+        if key in params and not isinstance(params[key], numbers.Real):
+            raise DomainError(f"{key} must be a real number, got {params[key]!r}")
+    return fn(params, point)

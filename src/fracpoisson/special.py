@@ -1,12 +1,15 @@
 """Mittag-Leffler type special functions.
 
-Everything here is scalar, pure, and thread-safe, and takes finite
+The public functions are scalar, pure, and thread-safe, and take finite
 arguments only.  The one-parameter function ``ml_one`` and the
 three-parameter (Prabhakar) function ``prabhakar`` are evaluated by
 their defining power series on a bounded disk and by algebraic
 asymptotic expansions deep on the negative axis.
 Series summation uses exact compensated accumulation (``math.fsum``) so
-truncation, not rounding, dominates the error.
+truncation, not rounding, dominates the error.  One private array
+kernel, ``_series_rows``, sums the same series for many ``z`` at once,
+bit for bit as the scalar loops do; ``distributions`` samples pmf grids
+with it.
 
 Accuracy notes
 --------------
@@ -309,14 +312,102 @@ def _prabhakar_series(gamma, alpha, theta, z, ctrl):
             f"(gamma={gamma}, alpha={alpha}, theta={theta}, z={z})",
             partial=total,
         )
-    noise = max_mag * 1.1e-16
-    if noise > 1e-6 * max(1.0, abs(total)):
+    if _cancels(total, max_mag):
         raise EvaluationError(
             f"Prabhakar series cancellation exceeds tolerance at z={z} "
-            f"(noise ~ {noise:.2e})",
+            f"(noise ~ {max_mag * 1.1e-16:.2e})",
             partial=total,
         )
     return total, max_mag
+
+
+def _cancels(total, max_mag):
+    """Whether a series summed to total from terms up to max_mag lost too
+    much to rounding for ``prabhakar``."""
+    return max_mag * 1.1e-16 > 1e-6 * max(1.0, abs(total))
+
+
+_SERIES_BLOCK = 1 << 12  # terms per array of series rows, 32 kB: faster and leaner than 0.5 MB
+
+
+def _series_rows(gamma, alpha, theta, zs, ml=False):
+    """``_prabhakar_series`` at every z of zs, bit for bit, from array passes.
+
+    Returns (totals, max_mags) as float arrays.  The columns follow the
+    scalar loop's arithmetic: the coefficients (gamma)_r / r! and
+    1/Gamma(alpha r + theta) are its recurrences computed once, z**r is a
+    row cumprod, each term is (coefficient * z**r) / Gamma in that order,
+    and each row is summed with ``math.fsum`` up to the index where the
+    scalar loop stops.  With ``ml`` the rows are ``_ml_power_series``
+    (gamma = theta = 1, alpha = beta): the same terms under its own stop
+    rule and with no cancellation guard.  A row that the scalar loop would
+    not sum this way is NaN in both arrays: one that reaches the lgamma
+    branch or a non-finite term before it stops, does not stop within
+    ``max_terms``, or fails the cancellation guard.
+    """
+    ctrl = _DEFAULT_CONTROL
+    stop = 1e-3 * ctrl.abs_tol
+    zs = np.asarray(zs, dtype=float)
+    totals = np.full(zs.size, np.nan)
+    max_mags = np.full(zs.size, np.nan)
+    r = np.arange(ctrl.max_terms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = np.cumprod(np.concatenate(([1.0], (gamma + r[:-1]) / (r[:-1] + 1.0))))
+        arg = alpha * r + theta
+        rg = rgamma(arg)
+        plain = (arg < _GAMMA_OVERFLOW) & np.isfinite(coef)
+        # most rows stop within 64 terms; only the others are widened
+        pending, width = np.arange(zs.size), min(64, ctrl.max_terms)
+        while pending.size:
+            longer = []
+            block = max(1, _SERIES_BLOCK // width)
+            for lo in range(0, pending.size, block):
+                rows = pending[lo:lo + block]
+                terms, running, ends = _series_block(
+                    zs[rows], coef[:width], rg[:width], plain[:width], stop, ml
+                )
+                for i, row, top, end in zip(rows.tolist(), terms, running, ends.tolist()):
+                    if end == width:
+                        longer.append(i)
+                    elif end >= 0:
+                        total = math.fsum(row[: end + 1].tolist())
+                        if ml or not _cancels(total, top[end]):
+                            totals[i], max_mags[i] = total, top[end]
+            if width == ctrl.max_terms:
+                break
+            pending, width = np.array(longer, dtype=int), min(4 * width, ctrl.max_terms)
+    return totals, max_mags
+
+
+def _series_block(z, coef, rg, plain, stop, ml):
+    """(terms, running max |term|, stop index) of the series rows at z.
+
+    The stop index is the last term the scalar loop sums, -1 where a row
+    leaves the plain route (lgamma branch, non-finite term) at or before
+    it, and the width where a row on the plain route has not stopped.
+    """
+    width = coef.size
+    zk = np.empty((z.size, width))
+    zk[:, 0] = 1.0
+    zk[:, 1:] = z[:, None]
+    np.cumprod(zk, axis=1, out=zk)
+    terms = coef * zk
+    terms *= rg
+    mag = np.abs(terms)
+    running = np.maximum.accumulate(mag, axis=1)
+    if ml:
+        small = mag < stop
+    else:
+        prev = np.empty_like(mag)
+        prev[:, 0] = np.inf
+        prev[:, 1:] = mag[:, :-1]
+        small = (mag <= prev) & (mag <= stop * np.minimum(1.0, running))
+    # the scalar loops stop at the third small term in a row
+    third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
+    ends = np.where(third.any(axis=1), third.argmax(axis=1) + 2, width)
+    off = ~(plain & np.isfinite(zk) & np.isfinite(terms))
+    firsts = np.where(off.any(axis=1), off.argmax(axis=1), width)
+    return terms, running, np.where((firsts < width) & (firsts <= ends), -1, ends)
 
 
 def ml_waiting_survival(beta: float, lam: float, t: float) -> float:

@@ -45,6 +45,9 @@ PATH = GridPath((0.0, 1.0, 2.0), (0.0, 1.0, 3.0))
 JUMPS = JumpDist(((1.0, 0.5), (-1.0, 0.5)))
 CSV = fp.paths_to_csv([RenewalPath((0.5,), 1.0)], Stable(0.5), 1)
 MASTER = {"beta": 0.5, "lam": 1.0, "step": 0.01}
+# points of the wrong length or type, and parameters that are not numbers
+BAD_PAIRS = ((1,), (1, 0.5, 2.0), (), ("1", 0.5), (1, "0.5"), 3)
+NOT_NUMBERS = ("0.01", None, [0.01])
 
 # public methods with numeric parameters, by the label their rows use
 METHODS = {
@@ -172,16 +175,20 @@ ROWS = [
     ("distributed_order_deriv", dict(g=GRID, nu=DistributedOrder(), t=1.0),
      {"nu": (((NAN, 1.0),), ((1.5, 1.0),), ((INF, 1.0),)), "t": POSITIVE}),
     ("governing_residual", dict(kind="fpp_master", params=MASTER, point=(1, 0.5)),
-     {"point": tuple((n, 0.5) for n in COUNT) + tuple((1, t) for t in POSITIVE),
+     {"point": tuple((n, 0.5) for n in COUNT) + tuple((1, t) for t in POSITIVE)
+      + BAD_PAIRS,
       "params": tuple(_with(MASTER, "beta", b) for b in ORDER_CLOSED)
       + tuple(_with(MASTER, "lam", v) for v in POSITIVE)
-      + tuple(_with(MASTER, "step", v) for v in POSITIVE)}),
+      + tuple(_with(MASTER, "step", v) for v in POSITIVE + NOT_NUMBERS)
+      + ({"lam": 1.0, "step": 0.01}, {"beta": 0.5, "step": 0.01})}),
     ("governing_residual", dict(kind="inverse_density", params={"step": 0.01}, point=(1.0, 0.5)),
-     {"point": tuple((x, 0.5) for x in POSITIVE) + tuple((1.0, t) for t in POSITIVE),
-      "params": tuple({"step": v} for v in POSITIVE)}),
+     {"point": tuple((x, 0.5) for x in POSITIVE) + tuple((1.0, t) for t in POSITIVE)
+      + BAD_PAIRS,
+      "params": tuple({"step": v} for v in POSITIVE + NOT_NUMBERS)}),
     ("governing_residual", dict(kind="brownian_time", params={"step": 0.01}, point=(0.5, 1.0)),
-     {"point": tuple((x, 1.0) for x in NONFINITE) + tuple((0.5, t) for t in POSITIVE),
-      "params": tuple({"step": v} for v in POSITIVE)}),
+     {"point": tuple((x, 1.0) for x in NONFINITE) + tuple((0.5, t) for t in POSITIVE)
+      + BAD_PAIRS,
+      "params": tuple({"step": v} for v in POSITIVE + NOT_NUMBERS)}),
     # statistics
     ("ks_two_sample", dict(a=np.linspace(0.0, 1.0, 30), b=np.linspace(0.0, 1.0, 30)),
      {"a": tuple(np.append(np.linspace(0.0, 1.0, 30), v) for v in NONFINITE)}),
@@ -232,6 +239,10 @@ DEFECTS = [
     ("simulate_timechange_renewal", (Stable(0.5), 1.0, INF, RNG)),
     ("simulate_ctrw", (Stable(0.5), 1.0, JUMPS, INF, RNG)),
     ("ctrw_prelimit_bernoulli", (0.5, 1.0, 10.0, INF, RNG)),
+    # these leaked KeyError, ValueError and TypeError
+    ("governing_residual", ("fpp_master", {"beta": 0.5}, (1, 0.5))),
+    ("governing_residual", ("inverse_density", {}, (1.0, 0.5, 0.0))),
+    ("governing_residual", ("brownian_time", {"step": "0.01"}, (0.5, 1.0))),
 ]
 
 

@@ -248,6 +248,49 @@ class TestSeriesRoundoffGuard:
         assert min(routes.values()) > 0, routes  # underflow: beta >= 0.9 at n = 200
 
 
+class TestPmfGrid:
+    """The grid route is fpp_pmf at each point, value and type, and calls
+    fpp_pmf itself only for the points off the plain series route."""
+
+    FRACCALC = 1e-3 * np.arange(2001)  # SampledFunction.from_function(., 2.0, 1e-3)
+    CASES = [
+        # fraccalc's grids: every point but t = 0 on the series route
+        (0.5, 1, 0, FRACCALC, 1),
+        (0.5, 1.0, 1, FRACCALC, 1),
+        (0.5, 1.0, 2, FRACCALC, 1),
+        # beta = 1: Poisson at every point
+        (1.0, 2.0, 3, 0.01 * np.arange(101), 101),
+        # z = 7 t**0.7 crosses the series switch (7.68) at t = 1.14
+        (0.7, 7.0, 0, 0.05 * np.arange(61), 39),
+        (0.7, 7.0, 12, 0.05 * np.arange(61), None),
+        # n log z > 700 below the switch, rows on the lgamma branch
+        (0.9, 1.0, 400, 0.1 * np.arange(151), 151),
+        # rows that fail the cancellation guard or the roundoff guard
+        (0.5, 7.0, 12, 7e-3 * np.arange(61), None),
+        # array ts**0.3 differs from scalar pow in the last bit at 59 of
+        # these times with numpy's SIMD pow on x86-64
+        (0.3, 0.3, 5, 7e-3 * np.arange(1001), 1),
+    ]
+
+    @pytest.mark.parametrize("beta, lam, n, ts, scalar", CASES)
+    def test_grid_equals_the_point_calls(self, monkeypatch, beta, lam, n, ts, scalar):
+        expected = [repr(fpp_pmf(beta, lam, t, n)) for t in ts]
+        calls = TestWorkCounts._count(monkeypatch, distributions, "fpp_pmf")
+        assert [repr(v) for v in distributions._fpp_pmf_grid(beta, lam, ts, n)] == expected
+        if scalar is None:
+            assert 1 < len(calls) < len(ts)
+        else:
+            assert len(calls) == scalar
+
+    def test_checks_its_arguments(self):
+        ts = 0.1 * np.arange(20)
+        for beta, lam, n in ((1.5, 1.0, 1), (0.5, 0.0, 1), (0.5, 1.0, -1), (0.5, 1.0, 2.5)):
+            with pytest.raises(DomainError):
+                distributions._fpp_pmf_grid(beta, lam, ts, n)
+        with pytest.raises(DomainError):
+            distributions._fpp_pmf_grid(0.5, 1.0, [0.5, math.nan], 1)
+
+
 class TestPmfLaplace:
     def test_closed_form(self):
         spec = Stable(0.5)
@@ -668,6 +711,15 @@ class TestWorkCounts:
         calls = self._count_quad(monkeypatch)
         assert inverse_stable_density_quadrature(0.6, 22.4, 0.5) == 0.0
         assert len(calls) == 1
+
+    def test_master_residual_samples_its_grid_in_one_series_pass(self, monkeypatch):
+        # the two right-hand-side values and the t = 0 point; the 1000
+        # other grid points come from the array series pass
+        from fracpoisson.fraccalc import governing_residual
+
+        calls = self._count(monkeypatch, distributions, "fpp_pmf")
+        governing_residual("fpp_master", {"beta": 0.5, "lam": 1, "step": 1e-3}, (2, 1.0))
+        assert len(calls) <= 3
 
     def test_density_off_far_field_does_no_inversion_or_quadrature(self, monkeypatch):
         inversions = self._count(monkeypatch, distributions, "laplace_invert")

@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracpoisson.errors import DomainError
+from fracpoisson.errors import DomainError, EvaluationError
 from fracpoisson.special import (
     _DEFAULT_CONTROL,
     _effective_switch,
+    _ml_power_series,
+    _prabhakar_series,
+    _series_rows,
     SeriesControl,
     ml_one,
     ml_waiting_pdf,
@@ -171,6 +174,57 @@ class TestPrabhakar:
         assert prabhakar(3.0, 0.5, 1.0, -2.0) == pytest.approx(
             -0.00457916068938, rel=1e-9
         )
+
+
+class TestSeriesRows:
+    """The array series pass sums each row exactly as the scalar loops do."""
+
+    @pytest.mark.parametrize("gamma, alpha, theta", [
+        (1.0, 0.5, 1.0),      # E_1/2
+        (3.0, 0.5, 2.0),      # fpp_pmf's series at beta = 1/2, n = 2
+        (41.0, 0.9, 37.0),    # n = 40 at beta = 0.9
+        (2.5, 0.4, 0.7),
+        (1.0, 0.3, 60.0),     # terms climb for many orders before decaying
+    ])
+    def test_rows_equal_the_scalar_loop(self, gamma, alpha, theta):
+        # z up to the switch needs rows wider than the first 64 columns
+        switch = _effective_switch(alpha, _DEFAULT_CONTROL)
+        zs = np.linspace(-switch, 0.5 * switch, 151)
+        sums, tops = _series_rows(gamma, alpha, theta, zs)
+        for z, total, top in zip(zs.tolist(), sums.tolist(), tops.tolist()):
+            try:
+                expected = _prabhakar_series(gamma, alpha, theta, z, _DEFAULT_CONTROL)
+            except EvaluationError:
+                assert math.isnan(total) and math.isnan(top), z
+            else:
+                assert (repr(total), top) == (repr(expected[0]), expected[1]), z
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.999])
+    def test_ml_rows_equal_the_power_series(self, beta):
+        # ml_one's loop has no cancellation guard: rows past the switch
+        # (up to ~250 terms at beta = 1/2) are summed as the loop sums them
+        switch = _effective_switch(beta, _DEFAULT_CONTROL)
+        zs = np.linspace(-1.5 * switch, switch, 151)
+        sums, _ = _series_rows(1.0, beta, 1.0, zs, ml=True)
+        for z, total in zip(zs.tolist(), sums.tolist()):
+            try:
+                expected = _ml_power_series(beta, z, _DEFAULT_CONTROL)
+            except EvaluationError:
+                assert math.isnan(total), z
+            else:
+                assert repr(total) == repr(expected), z
+
+    def test_rows_the_loop_sums_otherwise_are_nan(self):
+        # cancellation guard (the loop raises), lgamma branch (the loop
+        # answers by another formula), no stop within max_terms (raises)
+        sums, tops = _series_rows(1.0, 0.5, 1.0, [-5.5])
+        with pytest.raises(EvaluationError):
+            _prabhakar_series(1.0, 0.5, 1.0, -5.5, _DEFAULT_CONTROL)
+        assert math.isnan(sums[0]) and math.isnan(tops[0])
+        assert math.isnan(_series_rows(1.0, 0.5, 170.0, [-1.0])[0][0])
+        with pytest.raises(EvaluationError):
+            _ml_power_series(0.3, -4.0, _DEFAULT_CONTROL)
+        assert math.isnan(_series_rows(1.0, 0.3, 1.0, [-4.0], ml=True)[0][0])
 
 
 class TestWaitingTime:
