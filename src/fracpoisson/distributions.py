@@ -85,6 +85,10 @@ def fpp_pmf(beta, lam, t, n):
     z = lam * t ** beta
     if n == 0:
         return ml_waiting_survival(beta, lam, t)
+    if z == 0.0:
+        # lam t**beta underflowed, and P(N >= 1) = 1 - E_beta(-z) <= 1.2 z
+        # lies below the smallest double with it
+        return 0.0
     if z > _effective_switch(beta, _DEFAULT_CONTROL):
         try:
             return min(max(_pmf_far_tail(beta, z, n), 0.0), 1.0)
@@ -441,7 +445,11 @@ def stable_unit_density(beta, v):
         g(v) = beta/(1-beta) v^{-1/(1-beta)}
                int_0^1 A(pi u) exp(-A(pi u) v^{-beta/(1-beta)}) du
 
-    is evaluated by adaptive quadrature, at any finite v.
+    is evaluated by adaptive quadrature, at any finite v with v**beta < 5.
+    Past that the convergent large-v series answers: the integrand then
+    peaks in a sliver of width about (1-beta) sin(pi beta)/(pi v**beta)
+    below u = 1 that the quadrature can step over (it came out 17% low at
+    beta = 0.9, v = 3600).
     """
     _unit_interval("stability index", beta)
     if not math.isfinite(v):
@@ -460,6 +468,8 @@ def _stable_density(beta, v):
         return math.exp(-1.0 / (4.0 * v)) / (2.0 * math.sqrt(math.pi) * v ** 1.5)
     if beta * (math.log(beta) - math.log(v)) / (1.0 - beta) + math.log1p(-beta) > math.log(701.0):
         return 0.0
+    if beta * math.log(v) >= math.log(5.0):
+        return _stable_tail_series(beta, v)
     scale = v ** (-beta / (1.0 - beta))
 
     def integrand(u):
@@ -469,11 +479,30 @@ def _stable_density(beta, v):
             return 0.0
         return a * math.exp(-arg)
 
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
+    try:
+        val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-11, limit=200)
+    except OverflowError:  # A(pi u) past the double range, at beta near 1
+        raise EvaluationError(f"stable density quadrature overflows at v={v}") from None
     out = beta / (1.0 - beta) * v ** (-1.0 / (1.0 - beta)) * val
     if not math.isfinite(out):
         raise EvaluationError(f"stable density quadrature failed at v={v}")
     return out
+
+
+def _stable_tail_series(beta, v):
+    """g(v) = (1/pi) sum_{k>=1} (-1)**(k+1) Gamma(beta k + 1)/k! sin(pi beta k)
+    v**(-beta k - 1), the convergent large-v series, for v**beta >= 5.
+    Without its sine, term k + 1 is at most v**-beta times term k, so the
+    terms past the fortieth add less than 1e-28/sin(pi beta) of the first;
+    against mpmath the sum is within 2e-14 relative for beta up to 0.999."""
+    lv = math.log(v)
+    terms = [
+        (-1.0) ** (k + 1)
+        * math.exp(gammaln(beta * k + 1.0) - gammaln(k + 1.0) - (beta * k + 1.0) * lv)
+        * math.sin(math.pi * beta * k)
+        for k in range(1, 41)
+    ]
+    return math.fsum(terms) / math.pi
 
 
 _DENSITY_RULES = (32, 28)  # node counts of the two Talbot rules that must agree
@@ -498,37 +527,68 @@ def inverse_stable_density(beta, x, t):
     beta: fixed-Talbot inversion of the transform s**(beta-1)
     exp(-x s**beta) in s -> t, on the contour that ``laplace_invert``
     uses, with the terms of a 32-node and a 28-node rule evaluated as
-    one array.
+    one array.  Where that contour sum is not to be trusted (see
+    ``_density_talbot``) the first-passage quadrature answers.
     """
     _unit_interval("stability index", beta)
     _positive("state", x)
     _positive("time", t)
-    if beta == 0.5:
-        return inverse_stable_density_quadrature(beta, x, t)
+    if beta != 0.5:
+        values, _, kept = _density_talbot(beta, np.array([x], dtype=float), t)
+        if kept[0]:
+            return float(values[0])
+    return inverse_stable_density_quadrature(beta, x, t)
+
+
+def _inverse_stable_density_grid(beta, xs, t):
+    """(inverse_stable_density(beta, x, t), error estimate) at every x > 0
+    of the float array xs.
+
+    One (len(xs) x 60) contour pass; the rows it does not keep are scalar
+    ``inverse_stable_density`` calls.  For beta != 1/2 every row equals
+    the scalar function bit for bit.  At beta = 1/2 the kept rows are the
+    contour sums, which the scalar function does not use there, and only
+    the others take its first-passage quadrature.  The error estimate of
+    a kept row is the spread of its two Talbot rules, 0 for the others.
+    """
+    values, spread, kept = _density_talbot(beta, xs, t)
+    for i in np.flatnonzero(~kept).tolist():
+        values[i] = inverse_stable_density(beta, float(xs[i]), t)
+        spread[i] = 0.0
+    return values, spread
+
+
+def _density_talbot(beta, xs, t):
+    """(h(x, t), |32-node - 28-node rule|, kept) at every x of the array xs.
+
+    A row is kept unless the transform overflows on the contour
+    (Re w > 700) or a term is as large as that, either rule fails the
+    ``_talbot_result`` noise guard at a 1e-9 floor, or the 32- and 28-node
+    rules disagree.  In the far field (x well past the bulk of h(., t))
+    the true value sits below what the contour sum can resolve: both
+    roundoff and the M-term discretization error dwarf it.  Roundoff is
+    caught by the noise guard, discretization by the two node counts.
+    The arithmetic is that of ``_talbot_result``, row by row.
+    """
     ln_factor, s_beta, ln_power = _density_contour(beta, t)
-    xs = x * s_beta
-    expo = ln_factor - xs
-    # The transform overflowing on the contour (Re w > 700), or a term as
-    # large as that, leaves nothing the noise guard would accept.
-    if (ln_power - xs.real).max() > 700.0 or expo.real.max() > 700.0:
-        return inverse_stable_density_quadrature(beta, x, t)
-    terms = np.exp(expo)
-    re, mag = terms.real, np.abs(terms)
+    scale = 2.0 / (5.0 * t)
     cut = _DENSITY_RULES[0]
-    # In the far field (x well past the bulk of h(., t)) the true value
-    # sits below what the contour sum can resolve: both roundoff and the
-    # M-term discretization error dwarf it.  Roundoff is caught by the
-    # noise guard; discretization is caught by demanding two node counts
-    # agree.  Either failure reroutes to the first-passage quadrature,
-    # which stays accurate at any x.
-    try:
-        v32 = _talbot_result(float(re[:cut].sum()), float(mag[:cut].max()), t, 1e-9)
-        v28 = _talbot_result(float(re[cut:].sum()), float(mag[cut:].max()), t, 1e-9)
-    except EvaluationError:
-        return inverse_stable_density_quadrature(beta, x, t)
-    if abs(v32 - v28) > max(1e-9, 1e-7 * abs(v32)):
-        return inverse_stable_density_quadrature(beta, x, t)
-    return max(v32, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xsb = xs[:, None] * s_beta
+        expo = ln_factor - xsb
+        kept = ((ln_power - xsb.real).max(axis=1) <= 700.0) & (expo.real.max(axis=1) <= 700.0)
+        terms = np.exp(expo)
+        re, mag = terms.real, np.abs(terms)
+        rules = []
+        for part in (slice(None, cut), slice(cut, None)):
+            result = scale * re[:, part].sum(axis=1)
+            noise = mag[:, part].max(axis=1) * 2.3e-16 * scale
+            kept &= np.isfinite(result) & (noise <= np.maximum(1e-6 * np.abs(result), 1e-9))
+            rules.append(result)
+        v32, v28 = rules
+        spread = np.abs(v32 - v28)
+        kept &= spread <= np.maximum(1e-9, 1e-7 * np.abs(v32))
+        return np.maximum(v32, 0.0), spread, kept
 
 
 def inverse_stable_density_quadrature(beta, x, t):
@@ -566,40 +626,124 @@ def inverse_stable_density_quadrature(beta, x, t):
 def fpp_pmf_mixture(beta, lam, t, n):
     """P(N(t) = n) by conditioning on the inverse subordinator.
 
-    Evaluates int_0^inf e^{-lam x} (lam x)^n / n! h(x, t) dx against the
-    production density route; beta = 1 degenerates to the Poisson pmf
-    (h collapses to a point mass at t).
+    Integrates e^{-lam x} (lam x)^n / n! h(x, t) over x in [0, X] on
+    21-point Gauss-Kronrod panels that share their nodes across counts,
+    with h(x, t) from the array form of the production density route
+    (``inverse_stable_density`` row by row, at beta = 1/2 its contour sum
+    where that passes its checks).  X is where the Chernoff bound on the
+    dropped mass P(E(t) > X) falls to e^-40.  That bound, the panels'
+    |Kronrod - Gauss| estimates and the density's own error estimate add
+    up to the error, and a total outside [-error, 1 + error] raises
+    EvaluationError.  beta = 1 degenerates to the Poisson pmf (h
+    collapses to a point mass at t).
     """
     _unit_interval("order", beta, closed=True)
     _positive("time", t)
     _positive("rate", lam)
     n = _count("count", n)
+    return _fpp_pmf_mixture_rows(beta, lam, t, [n])[0]
+
+
+# 21-point Gauss-Kronrod rule on [-1, 1] (QUADPACK qk21): the nodes, the
+# Kronrod weights, and the Kronrod minus the embedded 10-point Gauss weights
+_GK_HALF = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+            0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+            0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+            0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+            0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_GK_KRONROD = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+               0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+               0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+               0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+               0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+               0.149445554002916905664936468389821)
+_GK_GAUSS = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338)
+_GK_NODES = np.concatenate([-np.array(_GK_HALF), [0.0], _GK_HALF[::-1]])
+_GK_WEIGHTS = np.array(_GK_KRONROD + _GK_KRONROD[-2::-1])
+_GK_DIFF = _GK_WEIGHTS.copy()
+_GK_DIFF[1:10:2] -= _GK_GAUSS
+_GK_DIFF[11:20:2] -= _GK_GAUSS[::-1]
+
+_MIXTURE_TAIL = 40.0  # the dropped mass P(E(t) > X) is at most exp(-40)
+_MIXTURE_PANEL_TOL = 1e-13  # |Kronrod - Gauss| every row meets on an accepted panel
+_MIXTURE_ROUNDS = 40
+_MIXTURE_PANELS = 512  # open panels per round: 10 752 nodes, 10 MB per contour array
+
+
+def _fpp_pmf_mixture_rows(beta, lam, t, ns):
+    """[fpp_pmf_mixture(beta, lam, t, n) for n in ns] on one set of x nodes.
+
+    The panels start with edges at 0, at t**beta 2**k (k >= -2) and at the
+    marks max(n, 1)/lam below X.  Each round evaluates the density at the
+    nodes of every open panel in one ``_inverse_stable_density_grid``
+    call.  It accepts a panel when every row's |Kronrod - Gauss| is at
+    most _MIXTURE_PANEL_TOL or at most the density's own error over the
+    panel (the Kronrod sum of the Poisson weight times twice the kernel's
+    error estimate), and bisects the others: refining further would only chase
+    the small jump where the kernel hands over to the first-passage
+    quadrature.  A row's error is the sum of both over its panels plus
+    e^-40.  X solves
+
+        P(E(t) > X) = P(D(X) < t) <= min_s exp(s t - X s**beta)
+                    = exp(-(1 - beta)/beta t (X beta/t)**(1/(1 - beta))) = e^-40,
+
+    so X = t**beta (40 beta/(1 - beta))**(1 - beta) / beta.  The counts
+    are checked by the caller.
+    """
     if beta == 1.0:
-        return math.exp(-lam * t + n * math.log(lam * t) - gammaln(n + 1))
-
-    log_lam = math.log(lam)
-
-    def integrand(x):
-        log_pois = -lam * x + n * (log_lam + math.log(x)) - gammaln(n + 1)
-        if log_pois < -700.0:
-            return 0.0
-        return math.exp(log_pois) * inverse_stable_density(beta, x, t)
-
-    # h(x, t) concentrates on x of order t**beta; the Poisson factor peaks
-    # near n/lam.  Split at both scales so the adaptive rule sees them.
-    marks = sorted({t ** beta, max(n, 1) / lam})
-    total = 0.0
-    err = 0.0
-    for lo, hi in zip([0.0] + marks, marks + [np.inf]):
-        val, e = integrate.quad(integrand, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)
-        total += val
-        err += e
-    if not (math.isfinite(total) and -err <= total <= 1.0 + err):
+        return [math.exp(-lam * t + n * math.log(lam * t) - gammaln(n + 1)) for n in ns]
+    scale = t ** beta
+    top = scale * (_MIXTURE_TAIL * beta / (1.0 - beta)) ** (1.0 - beta) / beta
+    if not 0.0 < top < math.inf:
+        raise EvaluationError(f"mixture range {top} not representable at beta={beta}, t={t}")
+    # top / scale <= 41, so 2**6 reaches past it
+    marks = {max(n, 1) / lam for n in ns} | {scale * 2.0 ** k for k in range(-2, 7)}
+    edges = np.array(sorted({0.0, top} | {m for m in marks if m < top}))
+    counts = np.array(ns, dtype=float)[:, None]
+    ln_coef = counts * math.log(lam) - gammaln(counts + 1.0)
+    total = np.zeros(len(ns))
+    err = np.full(len(ns), math.exp(-_MIXTURE_TAIL))
+    lo, hi = edges[:-1], edges[1:]
+    for _ in range(_MIXTURE_ROUNDS):
+        if lo.size > _MIXTURE_PANELS:
+            break
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        x = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+        h, h_err = _inverse_stable_density_grid(beta, x, t)
+        with np.errstate(over="ignore"):  # lam x = inf is a Poisson weight of 0
+            poisson = np.exp(counts * np.log(x) - lam * x + ln_coef)
+        f = (poisson * h).reshape(len(ns), lo.size, -1)
+        if not np.isfinite(f).all():
+            raise EvaluationError("mixture integrand not finite")
+        kronrod = (f @ _GK_WEIGHTS) * half
+        spread = np.abs((f @ _GK_DIFF) * half)
+        # what the density's own error contributes over the panel, taken
+        # as twice the spread of its two Talbot rules
+        floor = 2.0 * ((poisson * h_err).reshape(f.shape) @ _GK_WEIGHTS) * half
+        done = (spread <= np.maximum(floor, _MIXTURE_PANEL_TOL)).all(axis=0)
+        total += kronrod[:, done].sum(axis=1)
+        err += (spread + floor)[:, done].sum(axis=1)
+        lo, hi = lo[~done], hi[~done]
+        if not lo.size:
+            break
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    if lo.size:
         raise EvaluationError(
-            f"mixture pmf {total} outside [0, 1] beyond its error estimate {err:.2e}",
-            partial=total,
+            f"mixture quadrature left {lo.size} panels open at beta={beta}, lam={lam}, t={t}",
+            partial=total.tolist(),
         )
-    return min(max(total, 0.0), 1.0)
+    out = []
+    for value, bound in zip(total.tolist(), err.tolist()):
+        if not -bound <= value <= 1.0 + bound:
+            raise EvaluationError(
+                f"mixture pmf {value} outside [0, 1] beyond its error estimate {bound:.2e}",
+                partial=value,
+            )
+        out.append(min(max(value, 0.0), 1.0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ __all__ = [
 _GAMMA_OVERFLOW = 171.0
 # exp(G) * eps ~ exp(-G): cancellation/truncation balance point.
 _CANCEL_BUDGET = 18.4
+# Terms the asymptotic expansions of ml_one and prabhakar look among for
+# their optimal truncation.
+_ASYMPTOTIC_TERMS = 500
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,10 @@ class SeriesControl:
     abs_tol
         Absolute truncation target for series tails.
     max_terms
-        Hard cap on the number of series terms.
+        Hard cap on the number of power-series terms; 1000 lets the
+        series converge up to the cancellation cap for every beta >= 0.08.
+        The asymptotic branch picks its optimal truncation among its first
+        ``_ASYMPTOTIC_TERMS`` terms whatever the cap.
     asymptotic_switch
         ``|z|`` above which the asymptotic branch is preferred.  The
         effective switch is ``min(asymptotic_switch, 18.4**beta, budget)``
@@ -70,7 +76,7 @@ class SeriesControl:
     """
 
     abs_tol: float = 1e-12
-    max_terms: int = 500
+    max_terms: int = 1000
     asymptotic_switch: float = 10.0
 
     def __post_init__(self):
@@ -85,8 +91,13 @@ _DEFAULT_CONTROL = SeriesControl()
 def _effective_switch(beta: float, control: SeriesControl) -> float:
     # Cancellation cap: the largest power-series term is ~exp(|z|**(1/beta)).
     cancel = _CANCEL_BUDGET ** beta
-    # Convergence-budget cap: the series needs ~e*|z|**(1/beta)/beta terms.
-    budget = (max(beta * (control.max_terms - 50) / math.e, 1e-3)) ** beta
+    # Convergence-budget cap: the series stops at the third term in a row
+    # below stop = 1e-3 abs_tol.  Its terms |z|**k / Gamma(1 + beta k) are
+    # log-concave in k, so they fall for good once one is below stop (the
+    # first is 1), and term k = max_terms - 3 does so for every |z| up to
+    # (stop/2 Gamma(1 + beta k))**(1/k), half of stop kept for rounding.
+    k = control.max_terms - 3
+    budget = math.exp((gammaln(1.0 + beta * k) + math.log(5e-4 * control.abs_tol)) / k)
     return min(control.asymptotic_switch, cancel, budget)
 
 
@@ -199,11 +210,11 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
     if -z <= switch:
         return _ml_power_series(beta, z, ctrl)
     # E_beta(-x) ~ sum_{k=1}^{N-1} (-1)^{k+1} x^{-k} / Gamma(1 - beta k) with
-    # N = max(max_terms, 300), truncated on the reflection bound
+    # N = _ASYMPTOTIC_TERMS, truncated on the reflection bound
     # x^{-k} Gamma(beta k)/pi for every term (the exact head of the envelope
     # would drop a ~1e-18 term at some beta < 0.2 and change the last bits)
     total, _ = _asymptotic_series(
-        1.0, 1.0, beta, 1.0, math.log(-z), max(ctrl.max_terms, 300) - 1, reflect=True
+        1.0, 1.0, beta, 1.0, math.log(-z), _ASYMPTOTIC_TERMS - 1, reflect=True
     )
     return total
 
@@ -249,7 +260,7 @@ def prabhakar(
         # the term-wise inverse transform of the s -> 0 binomial expansion
         # of s^{a g - th} (s^a + x)^{-g}; absolute error about the floor
         total, ln_floor = _asymptotic_series(
-            gamma, gamma, alpha, theta, math.log(-z), max(ctrl.max_terms, 300)
+            gamma, gamma, alpha, theta, math.log(-z), _ASYMPTOTIC_TERMS
         )
         floor = math.exp(ln_floor)
         if floor > 1e-6 * max(1.0, abs(total)):
@@ -285,8 +296,13 @@ def _prabhakar_series(gamma, alpha, theta, z, ctrl):
                 + (r * math.log(abs(z)) if z != 0.0 else -math.inf)
                 - gammaln(arg)
             )
-            mag = math.exp(ln_mag)
+            mag = math.exp(ln_mag) if ln_mag < 709.0 else math.inf
             t = -mag if (z < 0.0 and r % 2) else mag
+        if not math.isfinite(t):
+            raise EvaluationError(
+                f"Prabhakar series term {r} overflows (gamma={gamma}, alpha={alpha}, "
+                f"theta={theta}, z={z})"
+            )
         terms.append(t)
         # For large theta the terms start far below any absolute cutoff
         # and climb for many orders before decaying, so a term only counts

@@ -16,9 +16,9 @@ import numpy as np
 from scipy.special import chdtrc, gammaln, kolmogorov, xlog1py, xlogy
 
 from .distributions import (
+    _fpp_pmf_mixture_rows,
     distributed_order_survival_kochubei,
     fpp_pmf,
-    fpp_pmf_mixture,
     general_pmf,
     inverse_stable_density,
     pmf_laplace,
@@ -297,7 +297,7 @@ def _suite_theorem31(seed, base):
         spec = Stable(beta)
         for t in (0.5, 2.0):
             series = [fpp_pmf(beta, lam, t, k) for k in range(41)]
-            mixture = [fpp_pmf_mixture(beta, lam, t, k) for k in range(41)]
+            mixture = _fpp_pmf_mixture_rows(beta, lam, t, range(41))
             inverted = [general_pmf(spec, lam, t, k) for k in range(41)]
             for n in range(11):
                 worst_pair = max(

@@ -245,6 +245,14 @@ DEFECTS = [
     ("governing_residual", ("brownian_time", {"step": "0.01"}, (0.5, 1.0))),
 ]
 
+# valid calls at the edge of the domain, and what they return; each of
+# these once leaked an exception
+EDGES = [
+    # lam t**beta underflows to 0; leaked ValueError from math.log(0)
+    ("fpp_pmf", (0.5, 1e-200, 1e-300, 1), 0.0),
+    ("fpp_pmf", (0.5, 1e-200, 1e-300, 0), 1.0),
+]
+
 
 @contextlib.contextmanager
 def _strict(seconds=20):
@@ -289,6 +297,13 @@ def test_bad_argument_raises_domain_error(name, kwargs):
 def test_listed_defect_raises_domain_error(name, args):
     with _strict(), pytest.raises(DomainError):
         getattr(fp, name)(*args)
+
+
+@pytest.mark.parametrize("name, args, expected", EDGES,
+                         ids=[f"{n}-{i}" for i, (n, _, _) in enumerate(EDGES)])
+def test_domain_edge_returns_its_value(name, args, expected):
+    with _strict():
+        assert getattr(fp, name)(*args) == expected
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ import warnings
 import pytest
 
 from fracpoisson.cli import main
+from fracpoisson.distributions import fpp_pmf_mixture
 from fracpoisson.processes import paths_from_csv
 from fracpoisson.samplers import sample_ml_waiting
 
@@ -90,6 +91,15 @@ class TestPmf:
         n0, p0 = lines[2].split(",")
         assert n0 == "0"
         assert float(p0) == pytest.approx(0.42758357615580694, rel=1e-10)
+
+    def test_small_beta_table_near_the_series_switch(self, capsys):
+        # z = 16**0.1 = 1.3195 sits just inside the series switch at
+        # beta = 0.1, where the Mittag-Leffler series once ran out of terms;
+        # its rounding there is 5e-9 against the mixture route's 1e-11
+        code, out, _ = run_cli(["pmf", "--beta", "0.1", "--lambda", "1", "--t", "16"], capsys)
+        assert code == 0
+        p0 = float(out.splitlines()[2].split(",")[1])
+        assert p0 == pytest.approx(fpp_pmf_mixture(0.1, 1.0, 16.0, 0), abs=1e-8)
 
     def test_csv_and_json_carry_identical_numbers(self, capsys):
         code, csv_out, _ = run_cli(

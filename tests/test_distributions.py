@@ -52,6 +52,7 @@ from fracpoisson.transforms import (
     Stable,
     StableMixture,
     TemperedStable,
+    _talbot_result,
     laplace_exponent,
     spec_to_json,
 )
@@ -489,6 +490,31 @@ class TestStableUnitDensity:
             )
         assert mass == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9, 0.99])
+    def test_large_v_series_matches_mpmath(self, beta):
+        # the same series in mpmath at 30 and 45 digits, from v**beta = 5,
+        # where the series takes over from the quadrature, up to 1e4;
+        # at beta = 0.9, v = 3600 the quadrature came out 17% low
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(v, dps):
+            with mpmath.workdps(dps):
+                b, vv = mpmath.mpf(beta), mpmath.mpf(v)
+                return mpmath.nsum(
+                    lambda k: (-1) ** (k + 1) * mpmath.gamma(b * k + 1) / mpmath.factorial(k)
+                    * mpmath.sin(mpmath.pi * b * k) * vv ** (-b * k - 1),
+                    [1, mpmath.inf],
+                ) / mpmath.pi
+
+        for vb in (5.0, 100.0, 1e4):
+            v = vb ** (1.0 / beta)
+            ref30, ref45 = oracle(v, 30), oracle(v, 45)
+            assert abs(ref30 - ref45) < 1e-16 * abs(ref45)
+            assert stable_unit_density(beta, v) == pytest.approx(float(ref45), rel=1e-13)
+        if beta <= 0.9:  # the quadrature just below the switch agrees
+            v = 4.999 ** (1.0 / beta)
+            assert stable_unit_density(beta, v) == pytest.approx(float(oracle(v, 45)), rel=1e-12)
+
     def test_zero_below_origin(self):
         assert stable_unit_density(0.6, 0.0) == 0.0
         assert stable_unit_density(0.6, -1.0) == 0.0
@@ -616,16 +642,105 @@ class TestInverseStableDensityArrayRoute:
             inverse_stable_density(*point)
         assert calls == []
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the first-passage quadrature under-resolves the narrow peak of "
-        "D(x) near y = x**(1/beta) at beta = 0.9 and small x",
-    )
     def test_quadrature_route_small_x(self):
         # mpmath fixed-Talbot at 30 and 45 digits; the contour route
-        # returns it within 3e-12
+        # returns it within 3e-12.  D(x)'s density at y <= t = 10 reaches
+        # v = y x**(-1/beta) = 3600, where the Zolotarev quadrature of the
+        # stable density came out 17% low and the large-v series now answers.
         got = inverse_stable_density_quadrature(0.9, 0.005059059557310797, 10.0)
         assert got == pytest.approx(0.013247013325335087, rel=1e-7)
+
+
+class TestDensityGrid:
+    """The array density kernel against the scalar route, row by row."""
+
+    # x per (beta, t) from the bulk through the far field, where the two
+    # Talbot rules disagree, to the overflow of the transform on the contour
+    XS = np.geomspace(1e-3, 120.0, 97)
+    GRID = list(itertools.product((0.3, 0.6, 0.75, 0.9), (0.5, 2.0, 10.0)))
+
+    @staticmethod
+    def _talbot_row(beta, x, t):
+        """(contour value or None, why) by the scalar checks spelled out
+        with 1-D sums and _talbot_result."""
+        ln_factor, s_beta, ln_power = distributions._density_contour(beta, t)
+        w = x * s_beta
+        if (ln_power - w.real).max() > 700.0 or (ln_factor - w).real.max() > 700.0:
+            return None, "overflow"
+        terms = np.exp(ln_factor - w)
+        try:
+            v32, v28 = (
+                _talbot_result(float(part.real.sum()), float(np.abs(part).max()), t, 1e-9)
+                for part in (terms[:32], terms[32:])
+            )
+        except EvaluationError:
+            return None, "noise"
+        if abs(v32 - v28) > max(1e-9, 1e-7 * abs(v32)):
+            return None, "disagree"
+        return max(v32, 0.0), "kept"
+
+    def test_rows_equal_the_scalar_function(self, monkeypatch):
+        scalar = distributions.inverse_stable_density
+        fallbacks = []
+
+        def counted(beta, x, t):
+            fallbacks.append((beta, x, t))
+            return scalar(beta, x, t)
+
+        monkeypatch.setattr(distributions, "inverse_stable_density", counted)
+        grids = {(b, t): distributions._inverse_stable_density_grid(b, self.XS, t) for b, t in self.GRID}
+        monkeypatch.undo()
+        reasons = {"kept": 0, "disagree": 0, "overflow": 0}
+        for (beta, t), (values, spread) in grids.items():
+            for x, value, err in zip(self.XS.tolist(), values.tolist(), spread.tolist()):
+                assert repr(value) == repr(scalar(beta, x, t)), (beta, x, t)
+                why = self._talbot_row(beta, x, t)[1]
+                reasons[why] += 1
+                assert ((beta, x, t) in fallbacks) == (why != "kept"), (beta, x, t)
+                assert err >= 0.0 and (why == "kept" or err == 0.0)
+        # the scalar fallbacks are exactly the far-field and overflow rows
+        assert reasons == {"kept": 974, "disagree": 65, "overflow": 125}
+        assert len(fallbacks) == 65 + 125
+
+    def test_checks_match_talbot_result(self):
+        for beta, t in self.GRID:
+            values, _, kept = distributions._density_talbot(beta, self.XS, t)
+            for x, value, keep in zip(self.XS.tolist(), values.tolist(), kept.tolist()):
+                expected, _ = self._talbot_row(beta, x, t)
+                assert keep == (expected is not None), (beta, x, t)
+                assert not keep or repr(value) == repr(expected)
+
+    def test_agreement_check_at_its_threshold(self):
+        # at beta = 0.9, t = 1 the spread of the two rules crosses 1e-7 |h|
+        # near x = 1.4027: the kernel keeps the rows below it, row by row
+        xs = np.linspace(1.38, 1.43, 51)
+        _, spread, kept = distributions._density_talbot(0.9, xs, 1.0)
+        expected = [self._talbot_row(0.9, x, 1.0)[1] == "kept" for x in xs.tolist()]
+        assert kept.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+
+    def test_noise_guard_rejects_a_cancelling_contour(self, monkeypatch):
+        # terms of +1e8 and -1e8 in each rule sum to about 0 with a noise
+        # of about 1e8 eps: only the noise guard rejects the row, since the
+        # two rules agree
+        crafted = np.full(60, -50.0 + 0j)
+        crafted[[1, 33]] = math.log(1e8)
+        crafted[[2, 34]] = complex(math.log(1e8), math.pi)
+        monkeypatch.setattr(
+            distributions, "_density_contour",
+            lambda beta, t: (crafted, np.zeros(60, complex), np.zeros(60)),
+        )
+        assert self._talbot_row(0.6, 1.0, 1.0)[1] == "noise"
+        _, spread, kept = distributions._density_talbot(0.6, np.array([1.0, 2.0]), 1.0)
+        assert not kept.any()
+        assert spread.max() <= 1e-9
+
+    def test_half_order_keeps_the_contour_sums(self):
+        xs = np.array([0.25, 1.0, 2.0])
+        values, spread = distributions._inverse_stable_density_grid(0.5, xs, 2.0)
+        closed = np.exp(-xs * xs / 8.0) / math.sqrt(2.0 * math.pi)
+        assert np.abs(values - closed).max() < 1e-10
+        assert (spread > 0.0).all()  # contour sums, not the quadrature
 
 
 class TestFppPmfMixture:
@@ -640,38 +755,102 @@ class TestFppPmfMixture:
             stats.poisson.pmf(3, 2.0), rel=1e-12
         )
 
+    def test_point_is_the_rows_function_at_one_count(self):
+        for n in (0, 3, 17):
+            assert fpp_pmf_mixture(0.6, 1.5, 2.0, n) == (
+                distributions._fpp_pmf_mixture_rows(0.6, 1.5, 2.0, [n])[0]
+            )
+
+    def test_rows_match_mpmath(self):
+        # z**n E^{n+1}_{beta, beta n + 1}(-z), z = lam t**beta, summed in
+        # mpmath at 40 and 60 digits (the series cancels by up to 20 digits
+        # at n = 40); the rows carry the density's Talbot accuracy, 1e-11
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(beta, lam, t, n, dps):
+            with mpmath.workdps(dps):
+                b, z = mpmath.mpf(beta), mpmath.mpf(lam) * mpmath.mpf(t) ** mpmath.mpf(beta)
+                total, r = mpmath.mpf(0), 0
+                while True:
+                    term = mpmath.rf(n + 1, r) / mpmath.factorial(r) * (-z) ** r * mpmath.rgamma(
+                        b * (r + n) + 1
+                    )
+                    total += term
+                    if r > 5 and abs(term) < mpmath.mpf(10) ** (-dps):
+                        return z**n * total
+                    r += 1
+
+        for beta, lam, t in ((0.4, 1.0, 0.5), (0.6, 1.0, 2.0), (0.75, 2.0, 1.0)):
+            rows = distributions._fpp_pmf_mixture_rows(beta, lam, t, range(0, 41, 4))
+            for n, value in zip(range(0, 41, 4), rows):
+                ref40, ref60 = oracle(beta, lam, t, n, 40), oracle(beta, lam, t, n, 60)
+                assert abs(ref40 - ref60) < 1e-20
+                assert abs(value - float(ref60)) < 2e-11, (beta, lam, t, n)
+
+    def test_half_order_rows_match_the_closed_form_mixture(self):
+        # h(x, t) = exp(-x**2/(4t))/sqrt(pi t) at beta = 1/2, integrated
+        # against the Poisson weight by scipy on both sides of its peak
+        def closed(lam, t, n):
+            def integrand(x):
+                return math.exp(
+                    n * math.log(lam * x) - lam * x - gammaln(n + 1) - x * x / (4.0 * t)
+                ) / math.sqrt(math.pi * t) if x > 0.0 else (1.0 / math.sqrt(math.pi * t) if n == 0 else 0.0)
+
+            peak = (-lam + math.sqrt(lam * lam + 2.0 * n / t)) * t
+            return sum(
+                integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+                for lo, hi in ((0.0, peak), (peak, np.inf))
+            )
+
+        for lam, t in ((1.0, 1.0), (2.0, 3.0)):
+            rows = distributions._fpp_pmf_mixture_rows(0.5, lam, t, range(21))
+            for n, value in enumerate(rows):
+                assert abs(value - closed(lam, t, n)) < 1e-10, (lam, t, n)
+
 
 class TestFppPmfMixtureGuard:
-    """The mixture pmf raises instead of clamping a wrong total."""
+    """The mixture pmf raises instead of clamping a wrong total.
+
+    The mixture takes its density values, with their error estimates,
+    from the array kernel, one call per refinement round, so the wrong
+    densities are patched in there.
+    """
 
     @staticmethod
-    def _half_order_density(beta, x, t):
-        return math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
+    def _kernel(density):
+        return lambda beta, xs, t: (density(xs, t), np.zeros(xs.shape))
+
+    @staticmethod
+    def _half_order_density(xs, t):
+        return np.exp(-xs * xs / (4.0 * t)) / math.sqrt(math.pi * t)
 
     def test_density_with_extra_mass_raises(self, monkeypatch):
         monkeypatch.setattr(
-            distributions, "inverse_stable_density",
-            lambda *a: 3.0 * self._half_order_density(*a),
+            distributions, "_inverse_stable_density_grid",
+            self._kernel(lambda xs, t: 3.0 * self._half_order_density(xs, t)),
         )
         with pytest.raises(EvaluationError):
             fpp_pmf_mixture(0.5, 1.0, 1.0, 0)
 
     def test_negative_density_raises(self, monkeypatch):
         monkeypatch.setattr(
-            distributions, "inverse_stable_density",
-            lambda *a: -self._half_order_density(*a),
+            distributions, "_inverse_stable_density_grid",
+            self._kernel(lambda xs, t: -self._half_order_density(xs, t)),
         )
         with pytest.raises(EvaluationError):
             fpp_pmf_mixture(0.5, 1.0, 1.0, 2)
 
     def test_non_finite_density_raises(self, monkeypatch):
-        monkeypatch.setattr(distributions, "inverse_stable_density", lambda *a: math.nan)
+        monkeypatch.setattr(
+            distributions, "_inverse_stable_density_grid",
+            self._kernel(lambda xs, t: np.full(xs.shape, math.nan)),
+        )
         with pytest.raises(EvaluationError):
             fpp_pmf_mixture(0.5, 1.0, 1.0, 1)
 
     def test_exact_density_passes(self, monkeypatch):
         monkeypatch.setattr(
-            distributions, "inverse_stable_density", self._half_order_density
+            distributions, "_inverse_stable_density_grid", self._kernel(self._half_order_density)
         )
         for n in (0, 1, 4):
             assert fpp_pmf_mixture(0.5, 1.0, 1.0, n) == pytest.approx(
@@ -728,6 +907,19 @@ class TestWorkCounts:
             inverse_stable_density(beta, x, t)
         assert inversions == []
         assert quads == []
+
+    def test_mixture_table_makes_few_kernel_passes(self, monkeypatch):
+        # theorem31's four 41-row tables: a few refinement rounds each, one
+        # kernel call per round, and (almost) no far-field node reaches
+        # the scalar route's first-passage quadrature
+        passes = self._count(monkeypatch, distributions, "_inverse_stable_density_grid")
+        scalar = self._count(monkeypatch, distributions, "inverse_stable_density")
+        for beta in (0.4, 0.6):
+            for t in (0.5, 2.0):
+                passes.clear()
+                distributions._fpp_pmf_mixture_rows(beta, 1.0, t, range(41))
+                assert 1 <= len(passes) <= 3
+        assert len(scalar) <= 5
 
 
 class TestRenewalMean:

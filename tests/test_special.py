@@ -122,6 +122,32 @@ class TestMlOne:
     def test_monotone_decreasing(self, beta, x):
         assert ml_one(beta, -1.01 * x) < ml_one(beta, -x)
 
+    @pytest.mark.parametrize("beta", [0.1, 0.15, 0.2])
+    def test_series_converges_up_to_the_switch_at_small_beta(self, beta):
+        # the series needs up to ~720 terms here; its term budget once let
+        # the switch sit past the z where 500 terms sufficed, and z from
+        # -1.324 to -1.256 raised at beta = 0.1 (a sliver at beta = 0.15)
+        mpmath = pytest.importorskip("mpmath")
+
+        def oracle(z, dps):
+            with mpmath.workdps(dps):
+                b, zz = mpmath.mpf(beta), mpmath.mpf(z)
+                total, k = mpmath.mpf(0), 0
+                while True:
+                    term = zz**k * mpmath.rgamma(1 + b * k)
+                    total += term
+                    if k > 10 and abs(term) < mpmath.mpf(10) ** (-dps):
+                        return total
+                    k += 1
+
+        switch = _effective_switch(beta, _DEFAULT_CONTROL)
+        for z in np.linspace(-switch, switch, 17).tolist():
+            ref30, ref40 = oracle(z, 30), oracle(z, 40)
+            assert abs(ref30 - ref40) < 1e-20
+            # the series' rounding near the cancellation cap: up to 2e-7
+            # absolute on the negative axis, 1e-15 relative on the positive
+            assert abs(ml_one(beta, z) - float(ref40)) <= 5e-7 * max(1.0, abs(float(ref40))), z
+
     def test_series_asymptotic_branch_agreement(self):
         # evaluate the same point with both branches; they may only differ
         # by the asymptotic optimal-truncation floor near the switch
