@@ -789,19 +789,20 @@ def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):
 # Bernstein identity check
 # ---------------------------------------------------------------------------
 
-def _tail_forward(spec, s):
-    """int_0^inf exp(-s t) phi(t) dt with analytic completion of the
-    deep-tail region where phi overflows double precision.
+_DEEP_TAIL_U = 600.0
 
-    On (0, 1] the integral runs on the log axis down to t = exp(-U),
-    U = 600; the remaining mass (significant only when the tail decays
-    as slowly as t^-(1-eps)) is added in closed form by the family's
+
+def _tail_forward(tail, s):
+    """int_{exp(-U)}^inf exp(-s t) phi(t) dt for U = _DEEP_TAIL_U, where
+    ``tail(t)`` is the Levy tail phi at one float t.
+
+    On (0, 1] the integral runs on the log axis down to t = exp(-U).  The
+    caller adds the remaining mass (significant only when the tail decays
+    as slowly as t^-(1-eps)) in closed form by the family's
     ``tail_completion``, using exp(-s t) = 1 + O(exp(-U)) there.
     """
-    U = 600.0
-    # spec.tail is levy_tail without the argument checks, once per node
     total, err = integrate.quad(
-        lambda t: math.exp(-s * t) * float(spec.tail(np.array([t]))[0]),
+        lambda t: math.exp(-s * t) * tail(t),
         1.0,
         np.inf,
         epsabs=1e-14,
@@ -811,16 +812,16 @@ def _tail_forward(spec, s):
 
     def g(u):
         t = math.exp(u)
-        return math.exp(-s * t) * float(spec.tail(np.array([t]))[0]) * t
+        return math.exp(-s * t) * tail(t) * t
 
     hi = 0.0
-    while hi > -U:
-        lo = max(hi - 40.0, -U)
+    while hi > -_DEEP_TAIL_U:
+        lo = max(hi - 40.0, -_DEEP_TAIL_U)
         val, e = integrate.quad(g, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=300)
         total += val
         err += e
         hi = lo
-    return total + spec.tail_completion(U), err
+    return total, err
 
 
 def bern_identity_check(spec, s):
@@ -830,10 +831,31 @@ def bern_identity_check(spec, s):
     Levy tail numerically with an analytic deep-tail completion; the
     right side evaluates the Laplace exponent directly, so agreement
     validates both code paths at once.  ``s`` must be finite and positive.
+
+    ``s`` may also be a nonempty 1-d sequence of such values; the result
+    is then a list with one triple per element, each equal to the scalar
+    call's.  The transforms share one evaluation of the tail per
+    quadrature node, which they mostly have in common.
     """
-    _positive("transform argument", s)
+    try:
+        shape = np.shape(s)
+    except ValueError:  # a ragged nest of sequences
+        shape = None
+    scalar = shape == ()
+    if not scalar and (shape is None or len(shape) != 1 or shape[0] == 0):
+        raise DomainError(
+            f"transform argument must be a number or a nonempty 1-d sequence, got {s!r}"
+        )
+    args = (s,) if scalar else s
+    for x in args:
+        _positive("transform argument", x)
     _require_spec(spec)
-    lhs, _ = _tail_forward(spec, s)
-    rhs = laplace_exponent(spec, s) / s
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return lhs, rhs, rel
+    # spec.tail is levy_tail without the argument checks; one call per node
+    tail = functools.cache(lambda t: float(spec.tail(np.array([t]))[0]))
+    completion = spec.tail_completion(_DEEP_TAIL_U)
+    out = []
+    for x in args:
+        lhs = _tail_forward(tail, x)[0] + completion
+        rhs = laplace_exponent(spec, x) / x
+        out.append((lhs, rhs, abs(lhs - rhs) / max(abs(rhs), 1e-300)))
+    return out[0] if scalar else out

@@ -95,6 +95,8 @@ ROWS = [
     ("laplace_invert", dict(F=lambda s: 1.0 / (s + 1.0), t=1.0, noise_floor=0.0),
      {"t": POSITIVE, "terms": COUNT + (0,), "noise_floor": NONNEGATIVE}),
     ("bern_identity_check", dict(spec=Stable(0.5), s=1.0), {"s": POSITIVE}),
+    ("bern_identity_check", dict(spec=Stable(0.5), s=(0.5, 1.0)),
+     {"s": tuple((0.5, v) for v in POSITIVE) + ((),)}),
     # samplers
     ("RngStream", dict(seed=1, stream_id=0),
      {"seed": COUNT + (1.5, 2 ** 64), "stream_id": COUNT + (2 ** 64,)}),

@@ -195,6 +195,13 @@ class TestPrabhakar:
         th = a * g + slack
         assert prabhakar(g, a, th, -x) > 0.0
 
+    @pytest.mark.xfail(raises=EvaluationError, strict=True,
+                       reason="asymptotic truncation floor 1.31e-06 just past the series switch")
+    def test_positive_just_past_the_series_switch(self):
+        # a counterexample hypothesis finds for the test above about once in
+        # ten random runs: -z is just past the switch for alpha = 0.34375
+        assert prabhakar(3.0, 0.34375, 1.03125, -2.75) > 0.0
+
     def test_sign_change_outside_monotone_wedge(self):
         # alpha*gamma > theta: oracle value -0.0045791606893... at z = -2
         assert prabhakar(3.0, 0.5, 1.0, -2.0) == pytest.approx(

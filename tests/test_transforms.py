@@ -529,6 +529,13 @@ class TestBernsteinIdentity:
         assert rel < 1e-5
         assert lhs == pytest.approx(rhs, rel=2e-5)
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_sequence_gives_the_scalar_triples(self, spec):
+        # the shared tail memo changes no node and no sum
+        assert repr(bern_identity_check(spec, (0.5, 1.0, 2.0))) == repr(
+            [bern_identity_check(spec, s) for s in (0.5, 1.0, 2.0)]
+        )
+
     def test_rejects_nonpositive_s(self):
         with pytest.raises(DomainError):
             bern_identity_check(Stable(0.5), 0.0)

@@ -6,6 +6,7 @@ at a fixed seed and the statistical primitives are pinned against hand
 computations and scipy.
 """
 
+import collections
 import json
 import math
 
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fracpoisson import processes
+from fracpoisson import processes, validation
 from fracpoisson.errors import DomainError
 from fracpoisson.samplers import sample_ml_waiting
+from fracpoisson.transforms import DistributedOrder, Stable, StableMixture, TemperedStable
 from fracpoisson.validation import (
     SUITE_NAMES,
     KSResult,
@@ -170,6 +172,37 @@ class TestRunSuite:
         assert isinstance(report, SuiteReport)
         with pytest.raises(AttributeError):
             report.seed = 0
+
+
+class TestTheorem41:
+    def test_integrands_are_evaluated_once_per_node(self, monkeypatch):
+        # the forward transforms at s = 0.5, 1 and 2 share most of their
+        # quadrature nodes; within one run no pmf or Levy tail call repeats
+        calls = collections.Counter()
+
+        def counted(label, fn):
+            def wrapper(*args):
+                calls[(label,) + args] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(validation, "fpp_pmf", counted("fpp_pmf", validation.fpp_pmf))
+        monkeypatch.setattr(
+            validation, "general_pmf", counted("general_pmf", validation.general_pmf)
+        )
+        for cls in (Stable, TemperedStable, StableMixture, DistributedOrder):
+            def tail(self, t, original=cls.tail):
+                calls[("tail", self) + tuple(t)] += 1
+                return original(self, t)
+
+            monkeypatch.setattr(cls, "tail", tail)
+        assert run_suite("theorem41", 42).passed
+        assert {key[0] for key in calls} == {"fpp_pmf", "general_pmf", "tail"}
+        assert {type(key[1]) for key in calls if key[0] == "tail"} == {
+            Stable, TemperedStable, StableMixture, DistributedOrder
+        }
+        repeated = {key: n for key, n in calls.items() if n > 1}
+        assert not repeated, f"{len(repeated)} of {len(calls)} argument tuples repeat"
 
 
 class TestTheorem23:
