@@ -32,17 +32,15 @@ from .special import (
 from .transforms import (
     DistributedOrder,
     Stable,
-    _ContourOverflow,
     _invert_talbot_array,
     _power,
     _require_spec,
     _talbot_contour,
-    _talbot_result,
+    _talbot_error,
+    _talbot_guard,
     _talbot_rule,
-    _talbot_sum,
     integrate,
     laplace_exponent,
-    laplace_invert,
     spec_to_json,
 )
 
@@ -199,7 +197,7 @@ def _pmf_by_inversion(beta, lam, t, n):
     counts comparable to or beyond lam t**beta at large times, where both
     z**n and lam**n overflow long before the pmf value does.
     """
-    value = _invert_with_fallback(
+    value = _invert_talbot_array(
         lambda s: _pmf_transform(_power(s, beta), s, lam, n), t, noise_floor=1e-9
     )
     return min(max(value, 0.0), 1.0)
@@ -236,31 +234,6 @@ def _pmf_transform(psi, s, lam, n):
     return np.exp(w)
 
 
-def _invert_with_fallback(F, t, noise_floor=0.0):
-    """Talbot on the node array first; where its noise guard fails, retry
-    with Gaver-Stehfest.  A transform that overflows on the contour is an
-    error, not retried."""
-    try:
-        return _invert_talbot_array(F, t, noise_floor)
-    except _ContourOverflow:
-        raise
-    except EvaluationError as first:
-        return _stehfest_retry(F, t, noise_floor, first)
-
-
-def _stehfest_retry(F, t, noise_floor, first):
-    """Gaver-Stehfest inversion after the Talbot failure first; F is
-    called at real scalars."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return laplace_invert(F, t, method="stehfest", noise_floor=noise_floor)
-    except EvaluationError as second:
-        raise EvaluationError(
-            f"both inversion methods failed: talbot ({first}), "
-            f"stehfest ({second})"
-        ) from second
-
-
 def general_pmf(spec, lam, t, n):
     """P(N_D(t) = n) for a general subordinator, by Laplace inversion.
 
@@ -282,11 +255,11 @@ def _general_pmf_rows(spec, lam, t, first, stop):
     """general_pmf(spec, lam, t, n) for n in range(first, stop), from one psi call.
 
     The transforms of the counts form (counts x nodes) arrays on one
-    Talbot contour.  Each row keeps its own noise guard; a row that fails
-    it is retried with Gaver-Stehfest alone, and a row whose transform
-    overflows on the contour raises.
+    Talbot contour, and each block of rows passes the noise guard in one
+    array pass.  A row that fails it, by cancellation or by a transform
+    that is not finite on the contour, raises EvaluationError naming its
+    count.
     """
-    noise_floor = 1e-10
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s, weights = _talbot_rule(t)
         psi = spec.psi(s)
@@ -295,16 +268,12 @@ def _general_pmf_rows(spec, lam, t, first, stop):
         counts = np.arange(lo, min(lo + _TABLE_BLOCK, stop))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = weights * _pmf_transform(psi, s, lam, counts[:, None])
-        for n, row in zip(counts.tolist(), terms):
-            try:
-                value = _talbot_sum(row, t, noise_floor)
-            except _ContourOverflow:
-                raise
-            except EvaluationError as exc:
-                value = _stehfest_retry(
-                    lambda x: _pmf_transform(spec.psi(x), x, lam, n), t, noise_floor, exc
-                )
-            out.append(min(max(value, 0.0), 1.0))
+            max_term = np.abs(terms).max(axis=-1)
+            values, ok = _talbot_guard(terms.real.sum(axis=-1), max_term, t, 1e-10)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise _talbot_error(values[i], max_term[i], counts[i])
+        out += [min(max(v, 0.0), 1.0) for v in values.tolist()]
     return out
 
 
@@ -322,7 +291,7 @@ def waiting_survival_general(spec, lam, t):
         psi = spec.psi(s)
         return psi / (s * (lam + psi))
 
-    value = _invert_with_fallback(transform, t, noise_floor=1e-10)
+    value = _invert_talbot_array(transform, t, noise_floor=1e-10)
     return min(max(value, 0.0), 1.0)
 
 
@@ -512,11 +481,13 @@ _DENSITY_RULES = (32, 28)  # node counts of the two Talbot rules that must agree
 def _density_contour(beta, t):
     """log(g_k s_k**(beta-1)), s_k**beta and (beta-1) log|s_k| over the
     nodes of each rule in _DENSITY_RULES in turn, for the transform
-    s**(beta-1) exp(-x s**beta) of h(x, t)."""
+    s**(beta-1) exp(-x s**beta) of h(x, t).  Where the rule is not finite
+    (t below about 7e-308) neither are these, and no row is kept."""
     rules = [_talbot_contour(t, m) for m in _DENSITY_RULES]
-    ln_s = np.log(np.concatenate([s for s, _ in rules]))
-    ln_g = np.log(np.concatenate([g for _, g in rules]))
-    return ln_g + (beta - 1.0) * ln_s, np.exp(beta * ln_s), (beta - 1.0) * ln_s.real
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_s = np.log(np.concatenate([s for s, _ in rules]))
+        ln_g = np.log(np.concatenate([g for _, g in rules]))
+        return ln_g + (beta - 1.0) * ln_s, np.exp(beta * ln_s), (beta - 1.0) * ln_s.real
 
 
 def inverse_stable_density(beta, x, t):
@@ -563,15 +534,13 @@ def _density_talbot(beta, xs, t):
 
     A row is kept unless the transform overflows on the contour
     (Re w > 700) or a term is as large as that, either rule fails the
-    ``_talbot_result`` noise guard at a 1e-9 floor, or the 32- and 28-node
+    ``_talbot_guard`` noise guard at a 1e-9 floor, or the 32- and 28-node
     rules disagree.  In the far field (x well past the bulk of h(., t))
     the true value sits below what the contour sum can resolve: both
     roundoff and the M-term discretization error dwarf it.  Roundoff is
     caught by the noise guard, discretization by the two node counts.
-    The arithmetic is that of ``_talbot_result``, row by row.
     """
     ln_factor, s_beta, ln_power = _density_contour(beta, t)
-    scale = 2.0 / (5.0 * t)
     cut = _DENSITY_RULES[0]
     with np.errstate(over="ignore", invalid="ignore"):
         xsb = xs[:, None] * s_beta
@@ -581,9 +550,8 @@ def _density_talbot(beta, xs, t):
         re, mag = terms.real, np.abs(terms)
         rules = []
         for part in (slice(None, cut), slice(cut, None)):
-            result = scale * re[:, part].sum(axis=1)
-            noise = mag[:, part].max(axis=1) * 2.3e-16 * scale
-            kept &= np.isfinite(result) & (noise <= np.maximum(1e-6 * np.abs(result), 1e-9))
+            result, ok = _talbot_guard(re[:, part].sum(axis=1), mag[:, part].max(axis=1), t, 1e-9)
+            kept &= ok
             rules.append(result)
         v32, v28 = rules
         spread = np.abs(v32 - v28)
@@ -763,7 +731,7 @@ def renewal_mean(spec, lam, t):
     def transform(s):
         return lam / (s * spec.psi(s))
 
-    return _invert_with_fallback(transform, t, noise_floor=1e-12)
+    return _invert_talbot_array(transform, t, noise_floor=1e-12)
 
 
 # ---------------------------------------------------------------------------

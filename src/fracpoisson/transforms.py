@@ -25,8 +25,8 @@ The public functions below check their arguments and call these methods;
 the JSON form of a spec follows from its dataclass fields.  The module
 also provides the numerical glue used throughout: a forward Laplace
 transform built for integrands with power-law singularities at the
-origin, two inversion algorithms (fixed-Talbot and Gaver-Stehfest), and a
-self-consistency check of the Bernstein identity
+origin, fixed-Talbot inversion, and a self-consistency check of the
+Bernstein identity
 
     int_0^inf exp(-s t) phi(t) dt = psi(s) / s,
 
@@ -36,7 +36,9 @@ The public ``laplace_invert`` calls its F once per contour node, so F
 need not accept arrays.  The package's own inversions go through
 ``_invert_talbot_array`` instead, which evaluates the transform once, on
 the ndarray of Talbot nodes, and turns overflow on the contour into
-EvaluationError.
+EvaluationError.  Every Talbot sum passes one noise guard,
+``_talbot_guard``: it must be finite, and its roundoff must stay below
+1e-6 of its value or below the caller's noise floor.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import Union, get_args
 
 import numpy as np
@@ -594,59 +595,6 @@ def laplace_forward(f, s, tol=1e-9, singular_origin=True):
 # Laplace inversion
 # ---------------------------------------------------------------------------
 
-_STEHFEST_CACHE = {}
-
-
-def _stehfest_coeffs(n):
-    """Salzer summation weights as exact rationals (n even)."""
-    if n not in _STEHFEST_CACHE:
-        half = n // 2
-        coeffs = []
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range((k + 1) // 2, min(k, half) + 1):
-                num = Fraction(j) ** half * Fraction(
-                    math.factorial(2 * j),
-                    math.factorial(half - j)
-                    * math.factorial(j)
-                    * math.factorial(j - 1)
-                    * math.factorial(k - j)
-                    * math.factorial(2 * j - k),
-                )
-                acc += num
-            coeffs.append((-1) ** (k + half) * acc)
-        _STEHFEST_CACHE[n] = tuple(coeffs)
-    return _STEHFEST_CACHE[n]
-
-
-def _invert_stehfest(F, t, terms, noise_floor):
-    if terms % 2 or terms < 2:
-        raise DomainError("stehfest needs an even number of terms >= 2")
-    coeffs = _stehfest_coeffs(terms)
-    ln2_over_t = math.log(2.0) / t
-    acc = Fraction(0)
-    max_term = 0.0
-    for k, v in enumerate(coeffs, start=1):
-        fk = F(k * ln2_over_t)
-        if isinstance(fk, complex):
-            fk = fk.real
-        if not math.isfinite(fk):
-            raise EvaluationError(f"transform not finite at s = {k * ln2_over_t}")
-        term = v * Fraction(fk)
-        acc += term
-        max_term = max(max_term, abs(float(term)))
-    result = float(acc) * ln2_over_t
-    # the alternating sum loses roughly max_term * eps to cancellation in
-    # the transform values themselves (the rational accumulation is exact)
-    noise = max_term * 2.3e-16 * ln2_over_t
-    if noise > max(1e-4 * abs(result), noise_floor):
-        raise EvaluationError(
-            "gaver-stehfest cancellation swamped the result; try method='talbot'",
-            partial=result,
-        )
-    return result
-
-
 @functools.lru_cache(maxsize=4)
 def _talbot_parts(M):
     """The parts of the M-node fixed-Talbot rule that do not depend on t:
@@ -666,7 +614,9 @@ def _talbot_rule(t, M=32):
     and g_k = exp(t s_k) times its factor.  The nodes are computed afresh
     for each t, not scaled from another t: a weight that is not exp(t s_k)
     of the very node F sees adds a roundoff of order |t s_k| eps to the
-    largest terms."""
+    largest terms.  Callers build it under np.errstate: below t ~ 7e-308
+    r overflows, and the rule is not finite, so every sum over it fails
+    _talbot_guard."""
     theta, cot, factor = _talbot_parts(M)
     r = 2.0 * M / (5.0 * t)
     x = r * theta
@@ -679,60 +629,60 @@ def _talbot_rule(t, M=32):
 def _talbot_contour(t, M):
     """The nodes of _talbot_rule(t, M) as a tuple of complex numbers, and
     their weights by cmath.exp; the inverse is (2/(5t)) sum_k Re(g_k F(s_k))."""
-    nodes = _talbot_rule(t, M)[0].tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes = _talbot_rule(t, M)[0].tolist()
     factor = _talbot_parts(M)[2].tolist()
     return tuple(nodes), tuple(cmath.exp(t * sk) * fk for sk, fk in zip(nodes, factor))
 
 
-def _talbot_result(acc, max_term, t, noise_floor):
-    """Scale a Talbot contour sum, or raise when it is not to be trusted."""
-    result = (2.0 / (5.0 * t)) * acc
-    if not math.isfinite(result):
-        raise EvaluationError(
-            "talbot contour sum not finite; try method='stehfest' if the "
-            "transform is only defined for real arguments",
-            partial=result,
-        )
-    # contour terms of magnitude max_term cancel down to the result; what
-    # survives below max_term * eps is roundoff, not signal
-    noise = max_term * 2.3e-16 * (2.0 / (5.0 * t))
-    if noise > max(1e-6 * abs(result), noise_floor):
-        raise EvaluationError(
-            "talbot cancellation swamped the result; the transform grows "
-            "along the contour (try method='stehfest' or accept a noise floor)",
-            partial=result,
-        )
-    return result
+def _talbot_guard(acc, max_term, t, noise_floor):
+    """The inverse (2/(5t)) acc of each contour sum acc, and whether it is
+    to be trusted, on floats or elementwise on arrays of row sums and row
+    maxima.  Numpy sums are guarded under the np.errstate they were taken
+    in, so that sums which are not finite raise no warning.
 
-
-class _ContourOverflow(EvaluationError):
-    """The transform is not finite at some Talbot node.
-
-    The pmf transforms overflow on the contour only where the pmf is far
-    below what the contour resolves.  A Gaver-Stehfest retry there
-    returns noise at the 1e-4 level, since it resolves exponentially
-    small values only to absolute level, so callers do not retry.
+    A sum is trusted when it is finite and its roundoff stays below
+    max(1e-6 |value|, noise_floor): contour terms of magnitude max_term
+    cancel down to the value, and what survives below max_term eps is
+    roundoff, not signal.  A term that is not finite makes max_term, and
+    so its sum, fail.
     """
+    scale = 2.0 / (5.0 * t)
+    value = scale * acc
+    noise = max_term * 2.3e-16 * scale
+    return value, (abs(value) < math.inf) & (
+        (noise <= 1e-6 * abs(value)) | (noise <= noise_floor)
+    )
 
 
-def _talbot_sum(terms, t, noise_floor):
-    """_talbot_result of one array of contour terms g_k F(s_k)."""
-    if not np.isfinite(terms).all():
-        raise _ContourOverflow("transform not finite on the talbot contour")
-    return _talbot_result(float(terms.real.sum()), float(np.abs(terms).max()), t, noise_floor)
+def _talbot_error(value, max_term, count=None):
+    """The EvaluationError for a contour sum that failed _talbot_guard,
+    naming its count when it has one."""
+    value, max_term = float(value), float(max_term)
+    if math.isfinite(value) and math.isfinite(max_term):
+        why = ("talbot cancellation swamped the result; the transform grows "
+               "along the contour (accept a noise floor)")
+    else:
+        why = "transform not finite on the talbot contour"
+    where = "" if count is None else f"count {count}: "
+    return EvaluationError(where + why, partial=value)
 
 
 def _invert_talbot_array(F, t, noise_floor):
     """32-node fixed-Talbot inversion with F evaluated once, on the array of nodes.
 
     F maps an ndarray of complex s to an ndarray of transform values.
-    Overflow on the contour surfaces as _ContourOverflow, an
-    EvaluationError, never as a warning.
+    Overflow on the contour surfaces as EvaluationError, never as a
+    warning.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nodes, weights = _talbot_rule(t)
         terms = weights * F(nodes)
-    return _talbot_sum(terms, t, noise_floor)
+        max_term = np.abs(terms).max()
+        value, ok = _talbot_guard(terms.real.sum(), max_term, t, noise_floor)
+    if not ok:
+        raise _talbot_error(value, max_term)
+    return float(value)
 
 
 def _invert_talbot(F, t, terms, noise_floor):
@@ -744,45 +694,36 @@ def _invert_talbot(F, t, terms, noise_floor):
         term = gk * F(sk)
         acc += term.real
         max_term = max(max_term, abs(term))
-    return _talbot_result(acc, max_term, t, noise_floor)
+    value, ok = _talbot_guard(acc, max_term, t, noise_floor)
+    if not ok:
+        raise _talbot_error(value, max_term)
+    return value
 
 
 def laplace_invert(F, t, method="talbot", terms=None, noise_floor=0.0):
-    """Invert a Laplace transform at finite time t > 0.
+    """Invert a Laplace transform at finite time t > 0 by the fixed-Talbot rule.
 
-    method='talbot' (fixed-Talbot, default 32 nodes) evaluates F along a
-    deformed contour in the complex plane and achieves near machine
-    precision for transforms analytic off the negative real axis; it
-    requires F to accept complex arguments and satisfy conjugate
-    symmetry.  method='stehfest' (Gaver-Stehfest, default 14 terms) uses
-    only positive real arguments, with exact rational summation weights
-    so that accuracy is limited by the transform values alone: about
-    1e-6 relative for algebraically decaying originals (the survival and
-    pmf transforms this package inverts), degrading to absolute-level
-    accuracy on exponentially small values.  Use it when F is defined
-    through real quadrature.
+    F is evaluated along a deformed contour in the complex plane, once
+    per node (``terms`` nodes, default 32), so it need not accept arrays;
+    it must accept complex arguments and satisfy conjugate symmetry.  The
+    rule achieves near machine precision for transforms analytic off the
+    negative real axis.  ``method`` names the rule, 'talbot' or
+    'fixed-talbot'; any other name raises DomainError.
 
-    Both methods estimate the roundoff noise left after cancellation and
-    raise EvaluationError when it swamps the result.  ``noise_floor``
-    declares a finite absolute error the caller is willing to absorb:
-    results whose noise stays below it are returned instead of raising,
-    the right contract when tiny values (tail probabilities, far-field
-    densities) only need absolute accuracy.  ``terms`` is a node count.
+    The roundoff noise left after cancellation is estimated, and
+    EvaluationError is raised when it swamps the result or when the
+    contour sum is not finite.  ``noise_floor`` declares a finite
+    absolute error the caller is willing to absorb: results whose noise
+    stays below it are returned instead of raising, the right contract
+    when tiny values (tail probabilities, far-field densities) only need
+    absolute accuracy.
     """
     _positive("time", t)
     _nonnegative("noise floor", noise_floor)
-    aliases = {
-        "talbot": "talbot",
-        "fixed-talbot": "talbot",
-        "stehfest": "stehfest",
-        "gaver-stehfest": "stehfest",
-    }
-    key = aliases.get(str(method).lower())
-    if key is None:
+    if str(method).lower() not in ("talbot", "fixed-talbot"):
         raise DomainError(f"unknown inversion method {method!r}")
-    invert, default = (_invert_talbot, 32) if key == "talbot" else (_invert_stehfest, 14)
-    terms = default if terms is None else _count("terms", terms, least=1)
-    return invert(F, t, terms, noise_floor)
+    terms = 32 if terms is None else _count("terms", terms, least=1)
+    return _invert_talbot(F, t, terms, noise_floor)
 
 
 # ---------------------------------------------------------------------------

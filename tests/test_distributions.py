@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammaln
 
-from fracpoisson import distributions
+from fracpoisson import distributions, transforms
 from fracpoisson.cli import main
 from fracpoisson.distributions import (
     PmfTable,
@@ -52,7 +52,6 @@ from fracpoisson.transforms import (
     Stable,
     StableMixture,
     TemperedStable,
-    _talbot_result,
     laplace_exponent,
     spec_to_json,
 )
@@ -583,6 +582,19 @@ class TestInverseStableDensity:
         )
         assert mass == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("t", [1e-307, 5e-308, 1e-310])
+    def test_time_below_the_contour_scale_takes_the_quadrature(self, t):
+        # r = 64/(5t) overflows, so no contour row is kept, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not distributions._density_talbot(0.7, np.array([1.0]), t)[2].any()
+            expected = inverse_stable_density_quadrature(0.7, 1.0, t)
+            assert repr(inverse_stable_density(0.7, 1.0, t)) == repr(expected)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["eval", "density", "--beta", "0.7", "--x", "1", "--t", repr(t)])
+            assert code == 0 and float(out.getvalue()) == expected
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             inverse_stable_density(0.5, 0.0, 1.0)
@@ -662,19 +674,18 @@ class TestDensityGrid:
     @staticmethod
     def _talbot_row(beta, x, t):
         """(contour value or None, why) by the scalar checks spelled out
-        with 1-D sums and _talbot_result."""
+        with 1-D sums and the noise guard on Python floats."""
         ln_factor, s_beta, ln_power = distributions._density_contour(beta, t)
         w = x * s_beta
         if (ln_power - w.real).max() > 700.0 or (ln_factor - w).real.max() > 700.0:
             return None, "overflow"
         terms = np.exp(ln_factor - w)
-        try:
-            v32, v28 = (
-                _talbot_result(float(part.real.sum()), float(np.abs(part).max()), t, 1e-9)
-                for part in (terms[:32], terms[32:])
-            )
-        except EvaluationError:
-            return None, "noise"
+        scale = 2.0 / (5.0 * t)
+        v32, v28 = (scale * float(part.real.sum()) for part in (terms[:32], terms[32:]))
+        for value, part in ((v32, terms[:32]), (v28, terms[32:])):
+            noise = float(np.abs(part).max()) * 2.3e-16 * scale
+            if not math.isfinite(value) or noise > max(1e-6 * abs(value), 1e-9):
+                return None, "noise"
         if abs(v32 - v28) > max(1e-9, 1e-7 * abs(v32)):
             return None, "disagree"
         return max(v32, 0.0), "kept"
@@ -901,11 +912,20 @@ class TestWorkCounts:
         assert len(calls) <= 3
 
     def test_density_off_far_field_does_no_inversion_or_quadrature(self, monkeypatch):
-        inversions = self._count(monkeypatch, distributions, "laplace_invert")
+        # the Talbot entry points: _invert_talbot is behind every
+        # laplace_invert, and distributions binds _invert_talbot_array itself
+        inversions = [
+            self._count(monkeypatch, owner, name)
+            for owner, name in (
+                (transforms, "_invert_talbot"),
+                (transforms, "_invert_talbot_array"),
+                (distributions, "_invert_talbot_array"),
+            )
+        ]
         quads = self._count_quad(monkeypatch)
         for beta, x, t in ((0.3, 1.0, 1.0), (0.7, 0.5, 2.0), (0.9, 0.2, 10.0)):
             inverse_stable_density(beta, x, t)
-        assert inversions == []
+        assert inversions == [[], [], []]
         assert quads == []
 
     def test_mixture_table_makes_few_kernel_passes(self, monkeypatch):
@@ -1054,47 +1074,43 @@ class TestArrayInversionRoute:
         # psi(1) sets the truncation index; one node array serves every row
         assert shapes == [(), (32,)]
 
-    def test_a_failing_row_is_retried_with_stehfest_alone(self, monkeypatch):
+    def test_a_failing_row_raises_naming_its_count(self, monkeypatch):
         spec, lam, t = TemperedStable(0.5, 1.0), 1.0, 0.5
-        expected = [p for _, p in general_pmf_table(spec, lam, t).rows]
-        original = distributions._talbot_sum
-        seen = []
+        expected = general_pmf(spec, lam, t, 2)
+        original = distributions._talbot_guard
+        blocks = []
 
-        def third_row_fails(terms, *args):
-            seen.append(None)
-            if len(seen) == 3:
-                raise EvaluationError("noise guard")
-            return original(terms, *args)
+        def third_row_fails(*args):
+            value, ok = original(*args)
+            blocks.append(ok.shape)
+            ok = ok.copy()
+            ok[2] = False
+            return value, ok
 
-        methods = []
-        invert = distributions.laplace_invert
-        monkeypatch.setattr(distributions, "_talbot_sum", third_row_fails)
-        monkeypatch.setattr(
-            distributions,
-            "laplace_invert",
-            lambda F, t, method, **kw: methods.append(method) or invert(F, t, method, **kw),
-        )
-        rows = [p for _, p in general_pmf_table(spec, lam, t).rows]
-        assert methods == ["stehfest"]
-        assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
-        assert rows[2] == pytest.approx(expected[2], rel=1e-6)
+        monkeypatch.setattr(distributions, "_talbot_guard", third_row_fails)
+        with pytest.raises(EvaluationError, match="^count 2: talbot cancellation swamped") as info:
+            general_pmf_table(spec, lam, t)
+        # the whole block passes the guard at once; the row is not retried
+        assert len(blocks) == 1 and blocks[0][0] > 30
+        assert info.value.partial == expected
 
     def test_overflow_on_the_contour_is_not_retried(self, monkeypatch):
-        # the Talbot terms of these counts are not finite; Gaver-Stehfest
-        # would answer with noise near 1e-4 where the pmf is below 1e-50
-        methods = []
-        invert = distributions.laplace_invert
+        # the Talbot terms of these counts are not finite, where the pmf is
+        # below 1e-50: one contour pass each, and it raises
+        inversions = []
+        invert = distributions._invert_talbot_array
         monkeypatch.setattr(
             distributions,
-            "laplace_invert",
-            lambda F, t, method, **kw: methods.append(method) or invert(F, t, method, **kw),
+            "_invert_talbot_array",
+            lambda *args, **kw: inversions.append(args) or invert(*args, **kw),
         )
         for n in (574, 600):
             with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
                 general_pmf(Stable(0.999), 50.0, 5.0, n)
             with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
                 fpp_pmf(0.999, 50.0, 5.0, n)
-        assert methods == []
+        # general_pmf sums its one table row; fpp_pmf's inversion route runs once per count
+        assert len(inversions) == 2
 
 
 class TestInversionOracle:
