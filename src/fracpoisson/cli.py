@@ -24,12 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .distributions import fpp_pmf_table, general_pmf_table, inverse_stable_density
 from .errors import DomainError, _count
 from .fraccalc import SampledFunction, caputo
-from .processes import (
-    paths_to_csv,
-    simulate_ctrw,
-    simulate_fpp,
-    simulate_timechange_renewal,
-)
+from .processes import _fpp_law, _renewal_paths, _timechange_law, paths_to_csv
 from .samplers import RngStream
 from .special import ml_one, prabhakar
 from .transforms import JumpDist, spec_from_json
@@ -62,19 +57,11 @@ def _sample_chunk(task):
     process, beta, lam, spec_json, jumps_json, horizon, seed, indices = task
     spec = spec_from_json(spec_json) if spec_json is not None else None
     jumps = JumpDist.from_json(jumps_json) if jumps_json is not None else None
-    out = []
+    law = _fpp_law(beta, lam, horizon) if process == "fpp" else _timechange_law(spec, lam, horizon)
     # one Philox for the chunk, re-keyed per path: the same draws as a
     # fresh RngStream(seed, i), and the checks run once for the largest id
     rng = RngStream(seed, max(indices, default=0))
-    for i in indices:
-        rng._rekey(i)
-        if process == "fpp":
-            out.append(simulate_fpp(beta, lam, horizon, rng))
-        elif process == "timechange":
-            out.append(simulate_timechange_renewal(spec, lam, horizon, rng))
-        else:
-            out.append(simulate_ctrw(spec, lam, jumps, horizon, rng))
-    return out
+    return _renewal_paths(law, horizon, rng, indices, jumps)
 
 
 def cmd_sample(args):
@@ -101,14 +88,11 @@ def cmd_sample(args):
             args.horizon, args.seed)
     if jobs == 1 or args.paths == 1:
         paths = _sample_chunk(base + (indices,))
-    else:
-        chunks = [indices[k::jobs] for k in range(jobs)]
+    else:  # a block of consecutive stream ids per worker
+        size = -(-args.paths // jobs)
+        blocks = [base + (indices[k:k + size],) for k in range(0, args.paths, size)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sample_chunk, [base + (c,) for c in chunks]))
-        by_index = {}
-        for chunk, got in zip(chunks, results):
-            by_index.update(zip(chunk, got))
-        paths = [by_index[i] for i in indices]
+            paths = [path for got in pool.map(_sample_chunk, blocks) for path in got]
 
     header = {"process": args.process, "lambda": args.lam, "horizon": args.horizon,
               "paths": args.paths}

@@ -568,12 +568,16 @@ def inverse_stable_density_quadrature(beta, x, t):
 
     with the density of D(x) expressed through the unit stable density
     (Zolotarev quadrature; closed form at beta = 1/2).  The (t-y)**-beta
-    endpoint singularity is handled by weighted Gauss quadrature.
+    endpoint singularity is handled by weighted Gauss quadrature.  An x
+    so small that x**(-1/beta) overflows raises EvaluationError.
     """
     _unit_interval("stability index", beta)
     _positive("state", x)
     _positive("time", t)
-    scale = x ** (-1.0 / beta)  # D(x) =_d x**(1/beta) D(1)
+    try:
+        scale = x ** (-1.0 / beta)  # D(x) =_d x**(1/beta) D(1)
+    except OverflowError:
+        raise EvaluationError(f"the scale x**(-1/beta) of D(x) overflows at x = {x!r}") from None
     norm = math.exp(-gammaln(1.0 - beta))
 
     def smooth_part(y):

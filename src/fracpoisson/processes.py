@@ -12,8 +12,13 @@ deliberately independent so they can be tested against each other:
 
 Also here: CTRW paths driven by those renewal times, the Bernoulli
 prelimit walk whose law converges to the fractional counting process,
-and grid-path inversion with its left-limit consistency check.  A
-private n-path renewal kernel (``_renewal_counts``) counts many paths
+and grid-path inversion with its left-limit consistency check.
+
+Paths come from one n-path kernel, ``_renewal_paths``: each path makes
+a one-path call's generator calls on its own stream RngStream(seed, i),
+and the math of a round runs in one array pass over up to _PASS_PATHS
+open paths, so no ``--jobs`` split of the ids changes the bytes.
+A second private n-path kernel (``_renewal_counts``) counts many paths
 at one time t in bounded array passes, without building the paths; it
 reads its waits from a callable.  With time-change waits it gives N(t)
 and the CTRW position X(t) (``_timechange_counts``,
@@ -25,6 +30,7 @@ DomainError.
 
 from __future__ import annotations
 
+import bisect
 import io
 import json
 import math
@@ -33,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _count, _nonnegative, _positive
-from .samplers import RngStream, _generator, sample_ml_waiting
+from .errors import DomainError, TruncationError, _count, _nonnegative, _positive, _unit_interval
+from .samplers import _generator, _ml_draws, _ml_waits, sample_ml_waiting
 from .transforms import JumpDist, _require_spec, spec_to_json
 
 __all__ = [
@@ -157,14 +163,6 @@ def _next_jump(prev, t):
     return t if t > prev else math.nextafter(prev, math.inf)
 
 
-def _extend_until(times, jumps, horizon):
-    """Append increasing ``jumps`` to ``times`` up to the first one past the
-    horizon; True when there is one, so the path is complete."""
-    k = int(np.searchsorted(jumps, horizon, side="right"))
-    times.extend(jumps[: k + 1].tolist())
-    return k < len(jumps)
-
-
 def simulate_fpp(beta, lam, horizon, rng):
     """Simulate the fractional Poisson process by its renewal construction.
 
@@ -172,39 +170,114 @@ def simulate_fpp(beta, lam, horizon, rng):
     with P(J > t) = E_beta(-lam t**beta).  Generation stops at the first
     jump past the finite horizon, which is retained.
     """
+    return _renewal_paths(_fpp_law(beta, lam, horizon), horizon, _generator(rng))[0]
+
+
+def _fpp_law(beta, lam, horizon):
+    """(draw, advance) of Mittag-Leffler renewal paths; see ``_renewal_paths``."""
     _positive("horizon", horizon)
-    gen = _generator(rng)
-    times = []
-    jumps = np.zeros(_BATCH + 1)  # the carried jump time, then the batch's
-    while True:
-        batch = sample_ml_waiting(beta, lam, gen, size=_BATCH)
-        jumps[1:] = batch
-        np.cumsum(jumps, out=jumps)
-        if not (jumps[1:] > jumps[:-1]).all():
-            for k in range(1, _BATCH + 1):
-                jumps[k] = _next_jump(jumps[k - 1], jumps[k - 1] + batch[k - 1])
-        if _extend_until(times, jumps[1:], horizon):
-            return RenewalPath(tuple(times), horizon)
-        jumps[0] = jumps[-1]
+    _unit_interval("order", beta, closed=True)
+    _positive("rate", lam)
+
+    def draw(gen, carry, alone):
+        return (sample_ml_waiting(beta, lam, gen, _BATCH),) if alone else \
+            _ml_draws(gen, beta, _BATCH)
+
+    def advance(cols, carry, alone):
+        waits = cols[0] if alone else _ml_waits(beta, lam, cols)
+        return np.cumsum(np.hstack((carry[:, 1:], waits)), axis=1), carry[:, 0], waits
+
+    return draw, advance
 
 
-def _timechange_times(spec, lam, horizon, gen):
-    """Jump times D(V_n) of one time-changed path, up to the first past the horizon."""
+def _timechange_law(spec, lam, horizon):
+    """(draw, advance) of time-changed paths, jump times D(V_n); see ``_renewal_paths``.
+
+    A row holds the clock's exponentials and the spec's ``_draws``, or
+    the clock and its ``increments`` (TemperedStable's rejection needs
+    each proposal before its next draw).
+    """
     _positive("horizon", horizon)
     _positive("rate", lam)
     _require_spec(spec)
-    times = []
-    clock = np.zeros(_BATCH + 1)  # the carried arrival time, then the batch's
-    jumps = np.zeros(_BATCH + 1)  # the carried jump time, then the batch's
-    while True:
-        clock[1:] = clock[0] + np.cumsum(gen.standard_exponential(_BATCH) / lam)
-        jumps[1:] = np.cumsum(spec.increments(clock[1:] - clock[:-1], gen)) + jumps[0]
-        if not (jumps[1:] > jumps[:-1]).all():
+    split = hasattr(spec, "_scale")
+
+    def draw(gen, carry, alone):
+        e = gen.standard_exponential(_BATCH)
+        if split and not alone:
+            return (e, *spec._draws(gen, _BATCH))
+        clock = np.append(carry[0], carry[0] + np.cumsum(e / lam))
+        return clock, spec.increments(clock[1:] - clock[:-1], gen)
+
+    def advance(cols, carry, alone):
+        if split and not alone:
+            clock = np.hstack((carry[:, :1], carry[:, :1] + np.cumsum(cols[0] / lam, axis=1)))
+            cols = clock, spec._scale(clock[:, 1:] - clock[:, :-1], cols[1:])
+        clock, incs = cols
+        jumps = np.hstack((carry[:, 1:], np.cumsum(incs, axis=1) + carry[:, 1:]))
+        return jumps, clock[:, -1], None
+
+    return draw, advance
+
+
+_PASS_PATHS = 256  # paths per pass of _renewal_paths: bounds its memory
+
+
+def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
+    """Renewal paths, each up to its first jump past the horizon, in array rounds.
+
+    Path j reads RngStream(rng.seed, ids[j]); without ids one path reads
+    the generator ``rng``.  In a round each open path makes its _BATCH
+    renewals' generator calls, ``draw(gen, carried (clock, jump), alone)``,
+    and ``advance(stacked rows, carried, alone)`` gives the jump times
+    (the carried one first), the clocks to carry and the waits (None: a
+    repair reads the cumsum).  A pass of one path is ``alone``: it draws
+    through the one-row samplers, with the same calls and bits.
+    """
+    draw, advance = law
+    streams = ids is not None
+    gen = rng.generator if streams else rng
+    paths = [None] * (len(ids) if streams else 1)
+    carry, times, state = {}, {}, {}  # of the paths open after a round
+
+    def enter(j):  # gen, where path j's round starts
+        if j in state:
+            gen.bit_generator.state = state[j]
+        elif streams:
+            rng._rekey(ids[j])
+        return gen
+
+    queue, head = list(range(len(paths))), 0  # open paths from head on
+    while head < len(queue):
+        block = queue[head:head + _PASS_PATHS]
+        head += len(block)
+        alone = len(block) == 1
+        rows = [draw(enter(j), carry.get(j, (0.0, 0.0)), alone) for j in block]
+        start = np.array([carry.get(j, (0.0, 0.0)) for j in block])
+        new, clock, waits = advance([np.array(col) for col in zip(*rows)], start, alone)
+        for r in np.flatnonzero(~(new[:, 1:] > new[:, :-1]).all(axis=1)).tolist():
+            row = new[r]  # a wait below the float spacing was lost: bump
             for k in range(1, _BATCH + 1):
-                jumps[k] = _next_jump(jumps[k - 1], jumps[k])
-        if _extend_until(times, jumps[1:], horizon):
-            return tuple(times)
-        clock[0], jumps[0] = clock[-1], jumps[-1]
+                step = row[k] if waits is None else row[k - 1] + waits[r, k - 1]
+                row[k] = _next_jump(row[k - 1], step)
+        at = block[-1]  # the path whose round gen stands at the end of
+        for j, c, row in zip(block, clock.tolist(), new.tolist()):
+            k = bisect.bisect_right(row, horizon, 1)  # row[k] is the first past it
+            got = times.pop(j, []) + row[1:k + 1]
+            if k <= _BATCH and jumps is None:
+                paths[j] = RenewalPath(tuple(got), horizon)
+                continue
+            if j != at:  # an open path or a walk replays its round to its stream's end
+                draw(enter(j), carry.get(j, (0.0, 0.0)), alone)
+            at = j if k > _BATCH else None
+            if k > _BATCH:
+                queue.append(j)
+                carry[j], times[j] = (c, row[-1]), got
+                if streams:
+                    state[j] = gen.bit_generator.state
+            else:
+                paths[j] = CTRWPath(tuple(got), jumps._draw(gen, len(got)).tolist(), horizon)
+    return paths
 
 
 _PASS_DRAWS = 2 ** 15  # waits per pass of the n-path kernel: bounds its memory
@@ -272,8 +345,7 @@ def simulate_timechange_renewal(spec, lam, horizon, rng):
     almost surely and these are exactly the jump times of the
     inverse-subordinator count; no discretization is involved.
     """
-    gen = _generator(rng)
-    return RenewalPath(_timechange_times(spec, lam, horizon, gen), horizon)
+    return _renewal_paths(_timechange_law(spec, lam, horizon), horizon, _generator(rng))[0]
 
 
 def simulate_ctrw(spec, lam, jumps, horizon, rng):
@@ -285,10 +357,8 @@ def simulate_ctrw(spec, lam, jumps, horizon, rng):
     """
     if not isinstance(jumps, JumpDist):
         raise DomainError(f"jumps must be a JumpDist, got {type(jumps)!r}")
-    gen = _generator(rng)
-    times = _timechange_times(spec, lam, horizon, gen)
-    sizes = jumps._draw(gen, len(times))
-    return CTRWPath(times, sizes.tolist(), horizon)
+    law = _timechange_law(spec, lam, horizon)
+    return _renewal_paths(law, horizon, _generator(rng), jumps=jumps)[0]
 
 
 def _prelimit_values(beta, lam, c, t, n, gen):
@@ -398,12 +468,11 @@ def paths_to_csv(paths, spec, seed, stream=None):
     buf.write(f"# spec={spec_json} seed={_count('seed', seed)}\n")
     buf.write("index,jump_time,jump_size\n" if walks else "index,jump_time\n")
     for i, path in enumerate(paths):
+        cells = map(repr, path.jump_times)  # one join per path: the rows' cells
         if walks:
-            for t, x in zip(path.jump_times, path.jump_sizes):
-                buf.write(f"{i},{t!r},{x!r}\n")
-        else:
-            for t in path.jump_times:
-                buf.write(f"{i},{t!r}\n")
+            cells = map(",".join, zip(cells, map(repr, path.jump_sizes)))
+        if path.jump_times:
+            buf.write(f"{i}," + f"\n{i},".join(cells) + "\n")
     if stream is None:
         return buf.getvalue()
     return None

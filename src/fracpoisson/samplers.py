@@ -53,6 +53,7 @@ class RngStream:
     seed: int
     stream_id: int = 0
     generator: np.random.Generator = field(init=False, repr=False, compare=False)
+    _start: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.seed, self.stream_id = _count("seed", self.seed), _count("stream_id", self.stream_id)
@@ -60,6 +61,7 @@ class RngStream:
             raise DomainError("seed and stream_id must fit in 64 bits")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
+        self._start = self.generator.bit_generator.state  # _rekey changes only its key
 
     def spawn(self, stream_id):
         """Fresh stream with the same seed and a new stream_id."""
@@ -74,15 +76,8 @@ class RngStream:
         a stream id at least as large.
         """
         self.stream_id = stream_id
-        self.generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.array([self.seed, stream_id], dtype=np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._start["state"]["key"][1] = stream_id
+        self.generator.bit_generator.state = self._start
 
 
 def _generator(rng):
@@ -105,7 +100,7 @@ def _draws(size):
 def _uniform_open(gen, n):
     # open-interval uniforms; u = 0 would put a zero in Kanter's denominator
     u = gen.random(n)
-    while not u.all():
+    while np.count_nonzero(u) != n:
         bad = u == 0.0
         u[bad] = gen.random(int(bad.sum()))
     return u
@@ -134,15 +129,24 @@ def _tilted(gen, n, a, propose, what):
     return out
 
 
-def _stable_unit(gen, beta, n):
-    u = math.pi * _uniform_open(gen, n)
-    w = gen.standard_exponential(n)
+def _kanter_draws(gen, n):
+    """The generator calls of n ``_stable_unit`` draws, in their order."""
+    return _uniform_open(gen, n), gen.standard_exponential(n)
+
+
+def _kanter(beta, uniforms, exponentials):
+    """Kanter's D(1) from ``_kanter_draws``'s arrays, elementwise; scales ``uniforms`` in place."""
+    u = np.multiply(uniforms, math.pi, out=uniforms)
     a = (
         np.sin(beta * u)
         * np.sin((1.0 - beta) * u) ** (1.0 / beta - 1.0)
         / np.sin(u) ** (1.0 / beta)
     )
-    return a * w ** (1.0 - 1.0 / beta)
+    return a * exponentials ** (1.0 - 1.0 / beta)
+
+
+def _stable_unit(gen, beta, n):
+    return _kanter(beta, *_kanter_draws(gen, n))
 
 
 def sample_stable_unit(beta, rng, size=None):
@@ -177,12 +181,21 @@ def sample_ml_waiting(beta, lam, rng, size=None):
     _unit_interval("order", beta, closed=True)
     _positive("rate", lam)
     gen = _generator(rng)
-    n = _draws(size)
-    if beta == 1.0:
-        return _pack(gen.standard_exponential(n) / lam, size)
+    return _pack(_ml_waits(beta, lam, _ml_draws(gen, beta, _draws(size))), size)
+
+
+def _ml_draws(gen, beta, n):
+    """The generator calls of n ``sample_ml_waiting`` draws, in their order."""
     w = gen.standard_exponential(n)
-    d = _stable_unit(gen, beta, n)
-    return _pack(lam ** (-1.0 / beta) * w ** (1.0 / beta) * d, size)
+    return (w,) if beta == 1.0 else (w, *_kanter_draws(gen, n))
+
+
+def _ml_waits(beta, lam, draws):
+    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, elementwise."""
+    if beta == 1.0:
+        return draws[0] / lam
+    # D(1) first, while only the draws are held; the product commutes bit for bit
+    return _kanter(beta, *draws[1:]) * (lam ** (-1.0 / beta) * draws[0] ** (1.0 / beta))
 
 
 def _tempered_stable(gen, beta, a, dts):
@@ -238,12 +251,7 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
             f"got lam={lam}, a**beta={a ** beta}"
         )
     gen = _generator(rng)
-
-    def propose(pending):
-        k = pending.size
-        w = gen.standard_exponential(k)
-        return eta ** (-1.0 / beta) * w ** (1.0 / beta) * _stable_unit(gen, beta, k)
-
+    propose = lambda pending: _ml_waits(beta, eta, _ml_draws(gen, beta, pending.size))  # noqa: E731
     return _pack(_tilted(gen, _draws(size), a, propose, "tempered waiting-time"), size)
 
 

@@ -57,7 +57,7 @@ from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, EvaluationError, UnsupportedSamplingError
 from .errors import _count, _nonnegative, _positive, _unit_interval
-from .samplers import _stable_unit, _tempered_stable
+from .samplers import _kanter, _kanter_draws, _tempered_stable
 
 __all__ = [
     "Stable",
@@ -170,8 +170,15 @@ class Stable:
         b = self.beta
         return math.exp(-(1.0 - b) * U - gammaln(1.0 - b)) / (1.0 - b)
 
+    # split so that the draws of many paths can be scaled in one array pass
+    def _draws(self, gen, n):
+        return _kanter_draws(gen, n)
+
+    def _scale(self, dts, draws):
+        return dts ** (1.0 / self.beta) * _kanter(self.beta, *draws)
+
     def increments(self, dts, gen):
-        return dts ** (1.0 / self.beta) * _stable_unit(gen, self.beta, len(dts))
+        return self._scale(dts, self._draws(gen, len(dts)))
 
 
 @dataclass(frozen=True)
@@ -245,14 +252,19 @@ class StableMixture:
             for w, b in zip(self.weights, self.betas)
         )
 
-    def increments(self, dts, gen):
+    def _draws(self, gen, n):
+        return sum((_kanter_draws(gen, n) for _ in self.betas), ())
+
+    def _scale(self, dts, draws):
         # D(t) = sum_i w_i**(1/beta_i) D_i(t) with independent stable parts:
         # E[exp(-s dt)] = prod_i exp(-dt (w_i**(1/b_i) s)**b_i)
         #              = exp(-dt sum_i w_i s**b_i)
-        total = np.zeros(len(dts))
-        for w, b in zip(self.weights, self.betas):
-            total += w ** (1.0 / b) * dts ** (1.0 / b) * _stable_unit(gen, b, len(dts))
+        total = np.zeros(dts.shape)
+        for i, (w, b) in enumerate(zip(self.weights, self.betas)):
+            total += w ** (1.0 / b) * dts ** (1.0 / b) * _kanter(b, *draws[2 * i:2 * i + 2])
         return total
+
+    increments = Stable.increments
 
 
 @dataclass(frozen=True)

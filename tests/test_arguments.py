@@ -21,6 +21,7 @@ import fracpoisson as fp
 from fracpoisson import (
     DistributedOrder,
     DomainError,
+    EvaluationError,
     GridPath,
     JumpDist,
     RenewalPath,
@@ -253,6 +254,15 @@ EDGES = [
     # lam t**beta underflows to 0; leaked ValueError from math.log(0)
     ("fpp_pmf", (0.5, 1e-200, 1e-300, 1), 0.0),
     ("fpp_pmf", (0.5, 1e-200, 1e-300, 0), 1.0),
+    # the contour route keeps this row; its quadrature route cannot evaluate it
+    ("inverse_stable_density", (0.7, 1e-300, 1.0), 0.3342727525858209),
+]
+
+# valid calls that double precision cannot evaluate: x**(-1/beta) overflows;
+# each once leaked OverflowError
+UNEVALUABLE = [
+    ("inverse_stable_density_quadrature", (0.7, 1e-300, 1.0)),
+    ("inverse_stable_density", (0.3, 1e-100, 1e-307)),  # not kept by the contour route
 ]
 
 
@@ -306,6 +316,13 @@ def test_listed_defect_raises_domain_error(name, args):
 def test_domain_edge_returns_its_value(name, args, expected):
     with _strict():
         assert getattr(fp, name)(*args) == expected
+
+
+@pytest.mark.parametrize("name, args", UNEVALUABLE,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(UNEVALUABLE)])
+def test_unevaluable_call_raises_evaluation_error(name, args):
+    with _strict(), pytest.raises(EvaluationError):
+        getattr(fp, name)(*args)
 
 
 @pytest.mark.parametrize(

@@ -254,6 +254,25 @@ class TestSample:
         _, parallel, _ = run_cli(base + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    @pytest.mark.parametrize("process", [
+        ["--process", "fpp", "--beta", "0.6"],
+        ["--process", "timechange", "--spec", '{"variant": "Stable", "beta": 0.6}'],
+        ["--process", "timechange", "--spec",
+         '{"variant": "TemperedStable", "beta": 0.6, "a": 1.0}'],
+        ["--process", "timechange", "--spec", MIXTURE_SPEC],
+        ["--process", "ctrw", "--spec", '{"variant": "Stable", "beta": 0.6}'],
+    ], ids=["fpp", "stable", "tempered", "mixture", "ctrw"])
+    def test_jobs_do_not_change_output_of_any_kind(self, process, capsys):
+        # paths of one to several 32-draw rounds, split over two workers
+        base = ["sample", *process, "--lambda", "20", "--horizon", "3",
+                "--paths", "9", "--seed", "17"]
+        _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
+        _, parallel, _ = run_cli(base + ["--jobs", "2"], capsys)
+        assert serial == parallel
+        rows = [int(line.split(",")[0]) for line in serial.splitlines()[2:]]
+        assert sorted(set(rows)) == list(range(9))
+        assert max(map(rows.count, set(rows))) > 32
+
     def test_more_jobs_than_paths(self, capsys):
         # a worker whose chunk of stream ids is empty returns no paths
         base = ["sample", "--process", "fpp", "--beta", "0.5", "--lambda", "1",

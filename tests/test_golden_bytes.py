@@ -98,6 +98,24 @@ SAMPLE_DIGESTS = [
      3320, "537ecfe9a322205b80575e9dfceeb5abd2526f5701f338ede391ed3d54517877"),
 ]
 
+# (argv after "sample", stdout length, sha256), pinned from the sampler that
+# built one path at a time: paths that end in one 32-draw round
+# (fpp at lambda 1) and paths of several rounds (lambda 50, horizon 3)
+SAMPLE_ROUND_DIGESTS = [
+    (["--process", "fpp", "--beta", "0.6", "--lambda", "1", "--horizon", "5",
+      "--paths", "40", "--seed", "21"],
+     3393, "af8109152aed5dbcac1fe0ce5fbaec174c471f82aed6c0055904597e95feb80c"),
+    (["--process", "fpp", "--beta", "0.5", "--lambda", "50", "--horizon", "3",
+      "--paths", "12", "--seed", "22"],
+     22060, "54911389fc5c2b80072316648ccc54633b2255034ea1907344a62636b65dc420"),
+    (["--process", "timechange", "--spec", '{"variant":"Stable","beta":0.6}',
+      "--lambda", "50", "--horizon", "3", "--paths", "12", "--seed", "23"],
+     27671, "5d440e78406466c7e81c424b209e18c61b3efe5a2131c0056724728a68d899bd"),
+    (["--process", "ctrw", "--spec", '{"variant":"Stable","beta":0.7}',
+      "--lambda", "50", "--horizon", "3", "--paths", "12", "--seed", "24"],
+     33269, "270e926edee5acb3b62a707deb8a5d1e4f84152085736afb681729e1c8e59b36"),
+]
+
 # (spec, lambda, t, CSV length, sha256) of ``pmf --spec``
 PMF_DIGESTS = [
     ('{"variant":"TemperedStable","beta":0.5,"a":1.0}', "1", "0.5",
@@ -168,6 +186,16 @@ def test_far_tail_expansion_bytes(beta, z, n, expected):
 def test_sample_stdout_digest(process, spec, lam, horizon, paths, seed, length, digest):
     text = _cli_stdout(["sample", "--process", process, "--spec", spec, "--lambda", lam,
                         "--horizon", horizon, "--paths", paths, "--seed", seed])
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, length, digest", SAMPLE_ROUND_DIGESTS,
+    ids=["fpp", "fpp-rounds", "stable-rounds", "ctrw-rounds"],
+)
+def test_sample_rounds_stdout_digest(argv, length, digest):
+    text = _cli_stdout(["sample", *argv])
     assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
