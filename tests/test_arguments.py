@@ -256,6 +256,11 @@ EDGES = [
     ("fpp_pmf", (0.5, 1e-200, 1e-300, 0), 1.0),
     # the contour route keeps this row; its quadrature route cannot evaluate it
     ("inverse_stable_density", (0.7, 1e-300, 1.0), 0.3342727525858209),
+    # the smallest x of UNEVALUABLE's quadrature rows that it still answers
+    ("inverse_stable_density_quadrature", (0.7, 1e-10, 1.0), 0.33427275259105077),
+    # the bound is on x t**(-2 beta) = 1e-12, not x t**-beta = 1e-10: at t = 1e4 the
+    # quadrature still answers exp(-x**2/(4t))/sqrt(pi t) here (TestQuadratureTinyX)
+    ("inverse_stable_density", (0.5, 1e-8, 1e4), 0.005641895835477563),
 ]
 
 # valid calls that double precision cannot evaluate: x**(-1/beta) overflows;
@@ -263,6 +268,20 @@ EDGES = [
 UNEVALUABLE = [
     ("inverse_stable_density_quadrature", (0.7, 1e-300, 1.0)),
     ("inverse_stable_density", (0.3, 1e-100, 1e-307)),  # not kept by the contour route
+    # x**(1/beta) too small for quad to find D(x): it answered 1.94e-14 and
+    # 0.0 where the density is 0.334272752586, and 4e-13 for 0.5641895835;
+    # at x = 1e-10 it still answers (EDGES)
+    ("inverse_stable_density_quadrature", (0.7, 1e-15, 1.0)),
+    ("inverse_stable_density_quadrature", (0.7, 1e-150, 1.0)),
+    ("inverse_stable_density", (0.5, 1e-15, 1.0)),  # beta = 1/2 takes the quadrature
+    # the same bound at large and tiny t: 1.3e-13 against 5.6e-5, 1.3e-14 against 5642
+    ("inverse_stable_density", (0.5, 1e-6, 1e8)),
+    ("inverse_stable_density_quadrature", (0.5, 1e-23, 1e-8)),
+    # t x**(-1/beta) overflows, so y x**(-1/beta) is inf on the nodes: it answered 0.0
+    ("inverse_stable_density_quadrature", (0.02, 7e-7, 1e6)),
+    # e^t in the Chernoff tail bound overflows: OverflowError leaked
+    ("fpp_pmf_table", (0.5, 1.0, 800.0)),
+    ("general_pmf_table", (fp.TemperedStable(0.5, 1.0), 1.0, 800.0)),
 ]
 
 

@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -289,6 +290,125 @@ class TestPmfGrid:
                 distributions._fpp_pmf_grid(beta, lam, ts, n)
         with pytest.raises(DomainError):
             distributions._fpp_pmf_grid(0.5, 1.0, [0.5, math.nan], 1)
+
+
+def _rows_outcome(rows):
+    """The reprs of a table's rows, or the type and message of its error."""
+    try:
+        return [repr(v) for v in rows()]
+    except Exception as exc:  # the error is part of the outcome
+        return type(exc).__name__, str(exc)
+
+
+# the pmf tables of perfbench's ``pmf`` workload
+WORKLOAD_TABLES = [
+    (0.3, 1.0, 10.0), (0.3, 1.0, 60.0), (0.5, 1.0, 2.0), (0.5, 1.0, 60.0), (0.5, 2.0, 20.0),
+    (0.7, 1.0, 5.0), (0.7, 1.0, 60.0), (0.9, 1.0, 10.0), (0.9, 1.0, 40.0),
+    (0.999, 1.0, 2.0), (0.999, 1.0, 25.0),
+]
+
+
+class TestPmfTableRows:
+    """fpp_pmf_table takes every row through fpp_pmf's route in array
+    passes: each row is the point call's value, bit for bit, or the
+    table raises the point calls' first error."""
+
+    # 36 of these tables miss normalization, so the rows, not the tables, are compared
+    GRID = list(itertools.product(
+        (0.3, 0.5, 0.7, 0.9, 0.999), (0.5, 1.0, 2.0),
+        (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 60.0),
+    ))
+    # rows that leave the series' plain route (11 at (0.5, 0.2, 300)),
+    # a row whose contour is not finite (n = 574 of 1176 at (0.999, 50, 5)),
+    # beta = 1, z = lam t**beta underflowing, and beta below 0.1
+    EDGES = [(0.5, 0.2, 300.0), (0.7, 0.05, 600.0), (0.999, 50.0, 5.0), (1.0, 1.0, 5.0),
+             (0.5, 1e-200, 1e-300), (0.05, 3.0, 100.0)]
+
+    @staticmethod
+    def _check(tables):
+        for beta, lam, t in tables:
+            n_star, _ = distributions._truncation_index(lam, 1.0, t)
+            expected = _rows_outcome(lambda: [fpp_pmf(beta, lam, t, n) for n in range(n_star + 1)])
+            got = _rows_outcome(lambda: distributions._fpp_pmf_rows(beta, lam, t, n_star))
+            assert got == expected, (beta, lam, t)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9, 0.999])
+    def test_grid_rows_equal_the_point_calls(self, beta):
+        self._check([table for table in self.GRID if table[0] == beta])
+
+    def test_edge_rows_equal_the_point_calls(self):
+        self._check(self.EDGES)
+
+    def test_table_raises_the_lowest_failing_count(self):
+        with pytest.raises(EvaluationError, match="^transform not finite on the talbot contour"):
+            fpp_pmf_table(0.999, 50.0, 5.0)
+        with pytest.raises(EvaluationError, match="^transform not finite on the talbot contour"):
+            fpp_pmf(0.999, 50.0, 5.0, 574)
+        assert fpp_pmf(0.999, 50.0, 5.0, 573) >= 0.0
+
+
+class TestPmfTableWorkCounts:
+    """One contour per table, and scalar work only where a pass sends it."""
+
+    def _counted(self, monkeypatch):
+        calls = {}
+        for owner, name in ((distributions, "_talbot_rule"), (transforms, "_talbot_rule"),
+                            (distributions, "_prabhakar_series"), (distributions, "fpp_pmf"),
+                            (distributions, "_pmf_far_tail")):
+            calls.setdefault(name, [])
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name].append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def _passes_the_screen(beta, z, n):
+        """Whether fpp_pmf's route and the far-tail envelope leave row n to _pmf_far_tail."""
+        far, ok = distributions._pmf_route(beta, z, n)
+        return far and ok and not distributions._far_tail_screen(beta, z, np.array([n]))[0]
+
+    @pytest.mark.parametrize("beta, lam, t", WORKLOAD_TABLES)
+    def test_workload_tables(self, monkeypatch, beta, lam, t):
+        calls = self._counted(monkeypatch)
+        rows = fpp_pmf_table(beta, lam, t).rows
+        assert len(calls["_talbot_rule"]) <= 1
+        # every row below the switch stays on the plain series route
+        assert calls["_prabhakar_series"] == []
+        assert [args[3] for args in calls["fpp_pmf"]] == [0]
+        z = lam * t**beta
+        for b, z_call, n in calls["_pmf_far_tail"]:
+            assert (b, z_call) == (beta, z) and self._passes_the_screen(beta, z, n), n
+        assert len(rows) > 30
+
+    def test_fallback_rows_take_the_scalar_series(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        fpp_pmf_table(0.5, 0.2, 300.0)
+        fallbacks = [args[3] for args in calls["fpp_pmf"]]
+        assert len(fallbacks) == 12 and fallbacks[0] == 0
+        assert [args[0] - 1.0 for args in calls["_prabhakar_series"]] == fallbacks[1:]
+        assert len(calls["_talbot_rule"]) <= 1
+
+    def test_far_tail_screen_runs_in_bounded_blocks(self, monkeypatch):
+        # 510 rows n <= 4z at z = 127: one (510 x 300) envelope pass traces 3.9 MB,
+        # blocks of 100 rows 0.8 MB, with the same rows
+        beta, lam, t, n_star = 0.9, 30.0, 5.0, distributions._truncation_index(30.0, 1.0, 5.0)[0]
+        whole = [repr(p) for p in distributions._fpp_pmf_rows(beta, lam, t, n_star)]
+        sizes, screen = [], distributions._far_tail_screen
+        monkeypatch.setattr(distributions, "_far_tail_screen",
+                            lambda *args: sizes.append(args[2].size) or screen(*args))
+        monkeypatch.setattr(distributions, "_TABLE_BLOCK", 100)
+        tracemalloc.start()
+        try:
+            rows = [repr(p) for p in distributions._fpp_pmf_rows(beta, lam, t, n_star)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == whole and sizes == [100] * 5 + [10]
+        assert peak < 2e6
 
 
 class TestPmfLaplace:
@@ -574,6 +694,19 @@ class TestInverseStableDensity:
         for beta, x, t, expected in INVERSE_DENSITY_VALUES:
             got = inverse_stable_density_quadrature(beta, x, t)
             assert got == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("x, t", [(1e-10, 1.0), (1e-8, 1e4), (1e-3, 1e8), (1e-20, 1e-8)])
+    def test_quadrature_answers_at_tiny_x_above_its_bound(self, x, t):
+        # x t**(-2 beta) = 1e-10 .. 1e-12, above the bound 10**-12.4 at beta = 1/2
+        expected = math.exp(-x * x / (4.0 * t)) / math.sqrt(math.pi * t)
+        assert inverse_stable_density_quadrature(0.5, x, t) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("x, t", [(1e-14, 1.0), (1e-6, 1e8), (1e-23, 1e-8)])
+    def test_quadrature_raises_below_its_bound(self, x, t):
+        # x t**(-2 beta) = 1e-14, 1e-14, 1e-15: unguarded, quad returned 1.3e-13
+        # t**-0.5, wrong by about 12 orders, whatever x t**-beta (1e-14, 1e-10, 1e-19)
+        with pytest.raises(EvaluationError, match="too small for the quadrature"):
+            inverse_stable_density_quadrature(0.5, x, t)
 
     def test_normalizes_in_x(self):
         beta, t = 0.75, 1.0
@@ -1098,19 +1231,20 @@ class TestArrayInversionRoute:
         # the Talbot terms of these counts are not finite, where the pmf is
         # below 1e-50: one contour pass each, and it raises
         inversions = []
-        invert = distributions._invert_talbot_array
+        rule = distributions._talbot_rule
         monkeypatch.setattr(
             distributions,
-            "_invert_talbot_array",
-            lambda *args, **kw: inversions.append(args) or invert(*args, **kw),
+            "_talbot_rule",
+            lambda *args, **kw: inversions.append(args) or rule(*args, **kw),
         )
         for n in (574, 600):
             with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
                 general_pmf(Stable(0.999), 50.0, 5.0, n)
             with pytest.raises(EvaluationError, match="not finite on the talbot contour"):
                 fpp_pmf(0.999, 50.0, 5.0, n)
-        # general_pmf sums its one table row; fpp_pmf's inversion route runs once per count
-        assert len(inversions) == 2
+        # general_pmf and fpp_pmf's inversion route each sum one table row
+        # on one contour per call
+        assert len(inversions) == 4
 
 
 class TestInversionOracle:

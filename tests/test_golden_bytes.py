@@ -12,7 +12,9 @@ The values that come from the package's own Laplace inversions (three
 ``FPP_PMF_FAR`` rows, the ``pmf --spec`` tables and the ``theorem31``,
 ``theorem41`` and ``distributed`` reports) are pinned from the array
 Talbot route, which evaluates each transform once on the node array;
-``test_distributions.py`` checks those values against mpmath.  The tests
+``test_distributions.py`` checks those values against mpmath.  The
+``pmf --beta`` digests are pinned from the table that called ``fpp_pmf``
+once per row.  The tests
 compare ``repr`` strings and SHA-256 digests, not tolerances: refactors
 of those layers must keep the output bytes identical.
 """
@@ -126,6 +128,41 @@ PMF_DIGESTS = [
      1005, "00824445947175326d4d61b32ae11d4c79c37c85c65f8927fdf581d111014c7e"),
 ]
 
+# (beta, lambda, t, CSV length, sha256, JSON length, sha256) of ``pmf --beta``,
+# pinned from the table that made one scalar ``fpp_pmf`` call per row: the
+# eleven tables of perfbench's ``pmf`` workload, then beta = 0.05 and 0.6
+# below the series switch and beta = 1 (Poisson)
+PMF_BETA_DIGESTS = [
+    ("0.3", "1.0", "10.0", 1189, "e3bdc0c96d4a71b5e2a7cb4ebfd4e451da68b27b13d9b21f189928ba34e16d53",
+     2423, "85611f70d7e0296b8f261fca81edf739a0c7f7964597365f4c4e740fd3ed1026"),
+    ("0.3", "1.0", "60.0", 3024, "b6f6be90e8ef563e848e3ad2762c844439eab32b4c75b8ed5d0ae95cc6ea3064",
+     6130, "4b5d7cfcbfcd6294b39ddf17dba7734433b1400c25401c2eb69f52d347d30c91"),
+    ("0.5", "1.0", "2.0", 941, "7f62aff12442c787775d2d097fb6558e66f918c29e3008783b85f9b5ad6b45f5",
+     1915, "d8dd3eceb93e8cd48d55a33f465463ff95358e14a64cca7f37d03807bbc6fee5"),
+    ("0.5", "1.0", "60.0", 3007, "a71d8d2a0be3ad58158bb14f2f8b2bc4911dea7d084448b064e1ab729587b820",
+     6113, "5edee3a86675e07721a23a046223982bce1793bff2fe29b263fb697ce01c06e3"),
+    ("0.5", "2.0", "20.0", 2572, "199b885c01f67760b0664afc1c6529c5c7036260330a2d36fc2b9002e217c9be",
+     5262, "df8ccaaf83b59eb5bade4a3852a32990576f8935c1fabc6b0e140b75d190f97c"),
+    ("0.7", "1.0", "5.0", 1007, "67039586d0a7ed897ed7cccaa26898323e20aea8425a58c0223b2cad8998f6fe",
+     2059, "41536c8619fbf12d9f44a2030cb6bc3ef6293fbd6507841762f9180333334273"),
+    ("0.7", "1.0", "60.0", 2981, "9061326a2ffa077e8656e342d21420386ccb8e53e8b23eb7b6302245c71a362c",
+     6087, "9e533fe6aa3504e841b2248d882c9b0ff80ebba8d213fd3aaefcf3ec050f5713"),
+    ("0.9", "1.0", "10.0", 1174, "9614527ad2cce5166da20c8f2d9e5ac0489d1541f0a7291e64ac22837bccc459",
+     2408, "111dadc204061d9951c16f551408343bf087183a27187d6770cc3e2fb16fdca0"),
+    ("0.9", "1.0", "40.0", 2193, "028322043043c591511b09f4fded7bc8fc6f8ef07565232b77b304f27ef1ffbf",
+     4545, "02e0c4846eb595acd353cb78608f0dca2b72c970d04fc990ee032505eca87375"),
+    ("0.999", "1.0", "2.0", 933, "d189556bf847f3f676d52f0ed6e34824e6cc1fcf7eef591355ae12b135484d31",
+     1907, "8aac65bcb9db21a18916f9607e126d7de34a8e0bab333f489912456bd4d54973"),
+    ("0.999", "1.0", "25.0", 1661, "23cd5299619a914a7c98600c5652aeb223f24411303e7a9f2be5b294bfbf7501",
+     3441, "1b8cbd5fb8000233b81df764d29d94d7c9825869d0f61026d5220e6421de7f46"),
+    ("0.05", "1.0", "2.0", 944, "d5a9a9efaa80b1537e212f0fa8fb9f9d936e13390c815f722d6684b60720c330",
+     1918, "88f19c40670f20605691e6f863374d2523f64ca8c3630642925aa126c4c31c4e"),
+    ("1.0", "1.0", "5.0", 1007, "d5aefb2afd19cfc5172b0141f4d467357fb6daa2b344d0d200c82c47534bfffc",
+     2059, "1ca4c2eafa5afd435f03509280781be5cba390a2c45fd9a1ab48eb3c6103fecd"),
+    ("0.6", "2.0", "0.5", 1529, "c179b9ad3ce2fbb489e406e043b7926ada29147c603b859ce17e59d45e1b8dee",
+     3101, "040f68add70882384e0d9803a9d1317ac5ba1edf75d434ff3c7ea64861c3b2cc"),
+]
+
 # (suite, sha256) of the ``check --suite <suite> --seed 42 --output`` report
 SUITE_DIGESTS = [
     ("theorem23", "38078285540e2fc6bf8406fdd76a6c1898174beb7ae2defd9ff00b9f0ed02db0"),
@@ -206,6 +243,18 @@ def test_sample_rounds_stdout_digest(argv, length, digest):
 )
 def test_pmf_spec_csv_digest(spec, lam, t, length, digest):
     text = _cli_stdout(["pmf", "--spec", spec, "--lambda", lam, "--t", t])
+    assert len(text) == length
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "beta, lam, t, csv_length, csv_digest, json_length, json_digest", PMF_BETA_DIGESTS,
+    ids=[f"{b}-{lam}-{t}" for b, lam, t, *_ in PMF_BETA_DIGESTS],
+)
+def test_pmf_beta_digest(beta, lam, t, csv_length, csv_digest, json_length, json_digest, fmt):
+    text = _cli_stdout(["pmf", "--beta", beta, "--lambda", lam, "--t", t, "--format", fmt])
+    length, digest = (csv_length, csv_digest) if fmt == "csv" else (json_length, json_digest)
     assert len(text) == length
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -232,6 +232,29 @@ class TestSeriesRows:
             else:
                 assert (repr(total), top) == (repr(expected[0]), expected[1]), z
 
+    @pytest.mark.parametrize("beta, z", [(0.3, -2.0), (0.5, -4.0), (0.9, -7.0), (0.999, -10.0)])
+    def test_per_row_gamma_and_theta_equal_the_scalar_loop(self, beta, z):
+        # the series pass of a pmf table at one z: gamma = n + 1 and
+        # theta = beta n + 1, with rows that raise, rows wider than 64
+        # columns and, at large n, rows that reach the lgamma branch
+        ns = np.arange(1, 400)
+        sums, tops = _series_rows(ns + 1.0, beta, beta * ns + 1.0, z)
+        seen = set()
+        for n, total, top in zip(ns.tolist(), sums.tolist(), tops.tolist()):
+            if top == math.inf:
+                seen.add("lgamma branch")
+                assert math.isnan(total), n
+                continue
+            try:
+                expected = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, z, _DEFAULT_CONTROL)
+            except EvaluationError:
+                seen.add("raises")
+                assert math.isnan(total) and math.isnan(top), n
+            else:
+                seen.add("sums")
+                assert (repr(total), top) == (repr(expected[0]), expected[1]), n
+        assert "sums" in seen and len(seen) > 1, seen
+
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.999])
     def test_ml_rows_equal_the_power_series(self, beta):
         # ml_one's loop has no cancellation guard: rows past the switch
