@@ -204,7 +204,8 @@ def _far_tail_screen(beta, z, counts):
     """Which counts of the array (each <= 4z) certainly fail ``_pmf_far_tail``'s
     floor: its envelope summed up to the last summed term bounds |total|, and
     the margin covers the few ulps between rgamma and exp(-gammaln)."""
-    ln_env, kstar = _asymptotic_envelope(counts[:, None] + 1.0, 1.0, beta, 1.0, math.log(z), 300)
+    ln_env, kstar, _, _ = _asymptotic_envelope(counts[:, None] + 1.0, 1.0, beta, 1.0,
+                                               math.log(z), 300)
     with np.errstate(over="ignore"):
         bound = np.where(np.arange(300) <= kstar[:, None], np.exp(ln_env), 0.0).sum(axis=1)
     return _far_tail_too_coarse(np.exp(ln_env.min(axis=1)) / (1.0 + 1e-9), bound)

@@ -31,7 +31,7 @@ class EvaluationError(ArithmeticError):
 
 
 class SamplingError(RuntimeError):
-    """A rejection sampler exceeded its iteration budget."""
+    """A sampler cannot make its draws: a rejection budget ran out or a scale overflows."""
 
 
 class UnsupportedSamplingError(NotImplementedError):

@@ -12,6 +12,11 @@ Every sampler takes the random source last and accepts an optional
 IID draws as an ndarray.  Parameters are finite and sizes integers, else
 DomainError.  The source may be an ``RngStream`` or any
 ``numpy.random.Generator``.
+
+A bulk draw holds its draw arrays plus one block of ``_BLOCK`` elements'
+temporaries, and its result overwrites a draw array.  A scale that
+overflows a float (``lam**(-1/beta)``, ``dt**(1/beta)``) or a tempered
+call of ``_MAX_CHUNKS`` or more rejection chunks raises SamplingError.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ __all__ = [
 ]
 
 _MAX_REJECTION_ROUNDS = 10 ** 6
+_MAX_CHUNKS = 2 ** 26  # a tempered call takes fewer rejection chunks: bounds its memory
+_BLOCK = 32768  # elements per block of the elementwise math: 16k-32k ran fastest
+_STEP_BLOCK = 262144  # normals per block of the running maximum
 _NARROW_BLOCK = 32  # running-max blocks with fewer steps go column by column
 
 
@@ -88,6 +96,23 @@ def _generator(rng):
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
+def _in_blocks(f, head, out, *cols):
+    """Write ``f(*head, *blocks of cols)`` over ``out``; all C-contiguous, of one shape."""
+    flat, cols = out.reshape(-1), [c.reshape(-1) for c in cols]
+    for i in range(0, flat.size, _BLOCK):
+        s = slice(i, i + _BLOCK)
+        flat[s] = f(*head, *(c[s] for c in cols))
+    return flat.reshape(out.shape)
+
+
+def _power(name, x, p):
+    """The scalar x**p; SamplingError naming ``name`` where it overflows a float."""
+    try:
+        return x ** p
+    except OverflowError:
+        raise SamplingError(f"{name} = {x!r} to the power {p!r} overflows a float") from None
+
+
 def _pack(values, size):
     return float(values[0]) if size is None else values
 
@@ -116,10 +141,11 @@ def _tilted(gen, n, a, propose, what):
     out = np.empty(n)
     pending = np.arange(n)
     for _ in range(_MAX_REJECTION_ROUNDS):
-        if pending.size == 0:
+        k = pending.size
+        if k == 0:
             break
         x = propose(pending)
-        accept = gen.random(pending.size) < np.exp(-a * x)
+        accept = gen.random(k) < np.exp(-a * x) if k <= _BLOCK else _accepts(a, gen.random(k), x)
         out[pending[accept]] = x[accept]
         pending = pending[~accept]
     if pending.size:
@@ -129,20 +155,27 @@ def _tilted(gen, n, a, propose, what):
     return out
 
 
+def _accepts(a, r, x):
+    """``_tilted``'s accept test r < exp(-a x) past one block, one block at a time."""
+    if r.size > _BLOCK:
+        return _in_blocks(_accepts, (a,), np.empty(r.size, bool), r, x)
+    return r < np.exp(-a * x)
+
+
 def _kanter_draws(gen, n):
     """The generator calls of n ``_stable_unit`` draws, in their order."""
     return _uniform_open(gen, n), gen.standard_exponential(n)
 
 
 def _kanter(beta, uniforms, exponentials):
-    """Kanter's D(1) from ``_kanter_draws``'s arrays, elementwise; scales ``uniforms`` in place."""
+    """Kanter's D(1) from ``_kanter_draws``' arrays or stacked rows; past a block, over them."""
+    if uniforms.size > _BLOCK:
+        return _in_blocks(_kanter, (beta,), uniforms, uniforms, exponentials)
     u = np.multiply(uniforms, math.pi, out=uniforms)
-    a = (
-        np.sin(beta * u)
-        * np.sin((1.0 - beta) * u) ** (1.0 / beta - 1.0)
-        / np.sin(u) ** (1.0 / beta)
-    )
-    return a * exponentials ** (1.0 - 1.0 / beta)
+    p = 1.0 / beta
+    a = np.sin(beta * u) * np.sin((1.0 - beta) * u) ** (p - 1.0) / np.sin(u) ** p
+    a *= exponentials ** (1.0 - p)
+    return a
 
 
 def _stable_unit(gen, beta, n):
@@ -169,7 +202,9 @@ def sample_stable_increment(beta, dt, rng, size=None):
     _positive("increment length", dt)
     _unit_interval("stability index", beta)
     gen = _generator(rng)
-    return _pack(dt ** (1.0 / beta) * _stable_unit(gen, beta, _draws(size)), size)
+    draws = _stable_unit(gen, beta, _draws(size))
+    draws *= _power("increment length", dt, 1.0 / beta)
+    return _pack(draws, size)
 
 
 def sample_ml_waiting(beta, lam, rng, size=None):
@@ -191,11 +226,17 @@ def _ml_draws(gen, beta, n):
 
 
 def _ml_waits(beta, lam, draws):
-    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, elementwise."""
+    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, written over the first."""
+    w = draws[0]
     if beta == 1.0:
-        return draws[0] / lam
-    # D(1) first, while only the draws are held; the product commutes bit for bit
-    return _kanter(beta, *draws[1:]) * (lam ** (-1.0 / beta) * draws[0] ** (1.0 / beta))
+        return np.divide(w, lam, out=w)
+    scale = _power("rate", lam, -1.0 / beta)
+    # D(1) first, while only the draws are held; each product commutes bit for bit
+    d = _kanter(beta, *draws[1:])
+    w **= 1.0 / beta
+    w *= scale
+    w *= d
+    return w
 
 
 def _tempered_stable(gen, beta, a, dts):
@@ -204,14 +245,20 @@ def _tempered_stable(gen, beta, a, dts):
     One rejection pass over the ceil(dt a**beta) chunks of every dt (see
     ``sample_tempered_stable_increment``); each dt's chunks are summed.
     """
-    chunks = np.maximum(np.ceil(dts * a ** beta), 1.0).astype(np.intp)
-    scales = np.repeat((dts / chunks) ** (1.0 / beta), chunks)
-    out = _tilted(
-        gen, scales.size, a,
-        lambda pending: scales[pending] * _stable_unit(gen, beta, pending.size),
-        "tempered-stable",
-    )
-    return np.add.reduceat(out, np.cumsum(chunks) - chunks)
+    chunks = np.maximum(np.ceil(dts * a ** beta), 1.0)
+    ends = np.add.accumulate(chunks)  # whole floats, exact below the cap
+    if ends.size and ends[-1] >= _MAX_CHUNKS:
+        raise SamplingError(f"tempered-stable increments need {_MAX_CHUNKS} or more rejection "
+                            "chunks in one call: lower the size, the duration or the tempering")
+    scales = np.repeat((dts / chunks) ** (1.0 / beta), chunks.astype(np.intp))
+
+    def propose(pending):  # _stable_unit, less a call frame per rejection round
+        x = _kanter(beta, *_kanter_draws(gen, pending.size))
+        x *= scales[pending]
+        return x
+
+    out = _tilted(gen, scales.size, a, propose, "tempered-stable")
+    return np.add.reduceat(out, (ends - chunks).astype(np.intp))
 
 
 def sample_tempered_stable_increment(beta, a, dt, rng, size=None):
@@ -250,6 +297,7 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
             f"need lam > a**beta for a proper waiting-time law; "
             f"got lam={lam}, a**beta={a ** beta}"
         )
+    _power("lam - a**beta", eta, -1.0 / beta)  # the proposals' scale
     gen = _generator(rng)
     propose = lambda pending: _ml_waits(beta, eta, _ml_draws(gen, beta, pending.size))  # noqa: E731
     return _pack(_tilted(gen, _draws(size), a, propose, "tempered waiting-time"), size)
@@ -266,10 +314,13 @@ def sample_inverse_stable_marginal(beta, t, rng, size=None):
     n = _draws(size)
     if t == 0.0:
         return _pack(np.zeros(n), size)
-    return _pack((t / _stable_unit(gen, beta, n)) ** beta, size)
+    draws = _stable_unit(gen, beta, n)
+    np.divide(t, draws, out=draws)
+    draws **= beta
+    return _pack(draws, size)
 
 
-def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
+def sample_brownian_running_max(t, n_steps, rng, size=None):
     """Draw max{B(r) : 0 <= r <= t} for Brownian motion with Var B(t) = 2t.
 
     Euler grid maximum over ``n_steps`` uniform steps.  The grid max is
@@ -286,7 +337,7 @@ def sample_brownian_running_max(t, n_steps, rng, size=None, _block=262144):
     std = math.sqrt(2.0 * t / n_steps)
     level = np.zeros(n)
     best = np.zeros(n)  # running max includes B(0) = 0
-    steps_per_block = max(1, _block // max(n, 1))
+    steps_per_block = max(1, _STEP_BLOCK // max(n, 1))
     done = 0
     while done < n_steps:
         nb = min(steps_per_block, n_steps - done)
@@ -331,4 +382,5 @@ def sample_subordinator_at(spec, times, rng, size=None):
     if size is None:
         return np.cumsum(increments(dts, gen))
     n = _draws(size)
-    return np.cumsum(np.stack([increments(dts, gen) for _ in range(n)]), axis=1)
+    paths = np.array([increments(dts, gen) for _ in range(n)]).reshape(n, dts.size)
+    return np.cumsum(paths, axis=1)

@@ -130,17 +130,19 @@ def _ml_power_series(beta: float, z: float, control: SeriesControl) -> float:
 
 
 def _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect=False):
-    """``_asymptotic_series``' log term envelope and last summed index, for g or a g column."""
+    """``_asymptotic_series``' log term envelope and last summed index, for g or a g column,
+    then the terms' factors: log|(g)_k / k! * x^-(h+k)| and the y of 1/Gamma(y)."""
     ks = np.arange(float(n_terms))
     m = h + ks
     y = theta - alpha * m
     cut = math.inf if reflect else 0.5
     env = np.where(y >= cut, -gammaln(np.maximum(y, 0.5)),
                    gammaln(1.0 - np.minimum(y, cut)) - math.log(math.pi))
-    ln_env = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) - m * lx + env
+    expo = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) - m * lx
+    ln_env = expo + env
     # the first term below 1e-18, if any, else the smallest (never earlier then)
     deep = math.nextafter(math.log(1e-18), -math.inf)  # x < log(1e-18) iff x <= deep
-    return ln_env, np.argmin(np.maximum(ln_env, deep), axis=-1)
+    return ln_env, np.argmin(np.maximum(ln_env, deep), axis=-1), expo, y
 
 
 def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
@@ -157,14 +159,13 @@ def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
     (total, ln_floor), ln_floor being the log of the smallest envelope
     term, which is about the absolute error.
     """
-    ln_env, kstar = _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect)
-    # float(): a term whose 1/Gamma overflows turns inf or nan without a
-    # numpy warning; a caller that can reach such terms checks the sum
+    ln_env, kstar, expo, y = _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect)
+    # math.exp: np.exp's last bits differ; a term whose 1/Gamma overflows turns
+    # inf or nan without a numpy warning; a caller that can reach such terms checks the sum
+    stop = int(kstar) + 1
     terms = [
-        (-1.0) ** k
-        * math.exp(gammaln(g + k) - gammaln(g) - gammaln(k + 1.0) - (h + k) * lx)
-        * float(rgamma(theta - alpha * (h + k)))
-        for k in range(int(kstar) + 1)
+        (-1.0) ** k * math.exp(e) * r
+        for k, (e, r) in enumerate(zip(expo[:stop].tolist(), rgamma(y[:stop]).tolist()))
     ]
     return math.fsum(terms), float(np.min(ln_env))
 

@@ -175,7 +175,9 @@ class Stable:
         return _kanter_draws(gen, n)
 
     def _scale(self, dts, draws):
-        return dts ** (1.0 / self.beta) * _kanter(self.beta, *draws)
+        d = _kanter(self.beta, *draws)
+        d *= dts ** (1.0 / self.beta)
+        return d
 
     def increments(self, dts, gen):
         return self._scale(dts, self._draws(gen, len(dts)))
@@ -261,7 +263,9 @@ class StableMixture:
         #              = exp(-dt sum_i w_i s**b_i)
         total = np.zeros(dts.shape)
         for i, (w, b) in enumerate(zip(self.weights, self.betas)):
-            total += w ** (1.0 / b) * dts ** (1.0 / b) * _kanter(b, *draws[2 * i:2 * i + 2])
+            d = _kanter(b, *draws[2 * i:2 * i + 2])
+            d *= w ** (1.0 / b) * dts ** (1.0 / b)
+            total += d
         return total
 
     increments = Stable.increments

@@ -27,6 +27,7 @@ from fracpoisson import (
     RenewalPath,
     RngStream,
     SampledFunction,
+    SamplingError,
     Stable,
     TemperedStable,
 )
@@ -284,6 +285,18 @@ UNEVALUABLE = [
     ("general_pmf_table", (fp.TemperedStable(0.5, 1.0), 1.0, 800.0)),
 ]
 
+# valid sampler calls whose draws a float cannot hold, or whose rejection
+# chunks no call may allocate: each raises SamplingError
+UNSAMPLABLE = [
+    ("sample_ml_waiting", (0.1, 1e-300, RNG, 3)),  # lam**(-1/beta): leaked OverflowError
+    ("sample_stable_increment", (0.1, 1e300, RNG, 3)),  # dt**(1/beta): OverflowError
+    ("sample_tempered_ml_waiting", (0.02, 1.0, 1.0 + 2 ** -52, RNG, 3)),  # the same
+    # 1e30 chunks: an intp cast warned, then ValueError "negative dimensions"
+    ("sample_tempered_stable_increment", (0.5, 1.0, 1e30, RNG, 1)),
+    # 1e15 chunks per unit time: numpy asked for 220 PiB (_ArrayMemoryError)
+    ("sample_subordinator_at", (TemperedStable(0.5, 1e30), (1.0, 2.0), RNG, 1)),
+]
+
 
 @contextlib.contextmanager
 def _strict(seconds=20):
@@ -341,6 +354,13 @@ def test_domain_edge_returns_its_value(name, args, expected):
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(UNEVALUABLE)])
 def test_unevaluable_call_raises_evaluation_error(name, args):
     with _strict(), pytest.raises(EvaluationError):
+        getattr(fp, name)(*args)
+
+
+@pytest.mark.parametrize("name, args", UNSAMPLABLE,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(UNSAMPLABLE)])
+def test_unsamplable_call_raises_sampling_error(name, args):
+    with _strict(), pytest.raises(SamplingError):
         getattr(fp, name)(*args)
 
 

@@ -293,6 +293,20 @@ class TestSample:
         assert header["spec"]["variant"] == "TemperedStable"
         assert len(paths) == 2
 
+    @pytest.mark.parametrize("argv, what", [
+        (["--process", "fpp", "--beta", "0.1", "--lambda", "1e-300"], "rate = 1e-300"),
+        (["--process", "timechange", "--spec",
+          '{"variant": "TemperedStable", "beta": 0.5, "a": 1e30}', "--lambda", "1"],
+         "rejection chunks"),
+    ], ids=["fpp-scale-overflows", "tempered-chunks"])
+    def test_unsamplable_law_exits_1(self, argv, what, capsys):
+        # these printed "error: (34, 'Numerical result out of range')" and a
+        # numpy _ArrayMemoryError traceback
+        code, out, err = run_cli(["sample", *argv, "--horizon", "1", "--paths", "3",
+                                  "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and what in err and err.count("\n") == 1
+
     def test_ctrw_default_jumps(self, capsys):
         code, out, _ = run_cli(
             ["sample", "--process", "ctrw", "--spec",

@@ -7,7 +7,9 @@ digests by the one that checked the pmf series roundoff on a 2000-term
 array and integrated the stable density at every point; the running
 maximum digests by the one that took ``cumsum`` and ``max`` over every
 block's rows, however narrow (``theorem51`` is re-pinned for its
-n-path time-change kernel, which reads the stream in another order).
+n-path time-change kernel, which reads the stream in another order);
+the bulk draw digests by the samplers that evaluated their elementwise
+math over the whole array at once.
 The values that come from the package's own Laplace inversions (three
 ``FPP_PMF_FAR`` rows, the ``pmf --spec`` tables and the ``theorem31``,
 ``theorem41`` and ``distributed`` reports) are pinned from the array
@@ -28,6 +30,8 @@ import pytest
 from fracpoisson import fpp_pmf, ml_one, prabhakar
 from fracpoisson.cli import main
 from fracpoisson.distributions import _pmf_far_tail
+import fracpoisson as fp
+from fracpoisson import samplers
 from fracpoisson.samplers import RngStream, sample_brownian_running_max
 
 # (beta, z, repr) on the asymptotic branch of ml_one (-z above the switch)
@@ -180,6 +184,51 @@ RUNNING_MAX_DIGESTS = [
     (1.0, 1000, 1, 1000, "7e46a0c9ab69f9f7405aae3c40dc40af9b76e353e55e32c688401eb82d060c4a"),
 ]
 
+# sizes of the bulk draws: one draw, one kernel batch, exactly one block
+# of the samplers' elementwise math and three blocks plus a remainder
+BULK_SIZES = (1, 32, 32768, 3 * 32768 + 17)
+
+# (sampler, its arguments before the source, sha256 of the seed-42 stream-j
+# draws' bytes at each of BULK_SIZES), j the row's index
+BULK_DRAW_DIGESTS = [
+    ("sample_stable_unit", (0.6,), (
+        "5dbdf1ddbc23f0b5817c229a00027010be8780b1cdff1deaa1b48a8302bd8e52",
+        "c8534b811eb9652c3b34809a4654fefe4c0f11d47702171e3704aacd4f1cf922",
+        "70a1b8bd4d23a0b589117d94dcbb93d0db943b1604e9b2cd94e82a1c000c0403",
+        "e52f22e28defe83f3c7a9044259b1c69e2b0c226790bbf01f674759c441a4571",
+    )),
+    ("sample_stable_increment", (0.6, 2.5), (
+        "0e350f88586da2d87ce1a3e7ad628b1ecec9754e7be3489b01f691f010544c35",
+        "07d26cdd52bd5a7c9e0b3f373dcd0122c64d692c2df297e235ef692c24ce0c69",
+        "d94676a167ffc55e5ea2b92ef4bbe051e86a60f705e6f434cc3258f1e3f6a1cf",
+        "4652b8699148b57b78941a0b548cf045fe3a3f299d907739c9f1f938e3faed7d",
+    )),
+    ("sample_ml_waiting", (0.6, 1.5), (
+        "db88990b7770f97134fee6a46e13f516c28fd6cf7a72c44f1595d51388358b03",
+        "ff5d5c6b25b51901b25c48828003ab1bd27f1a637bfa04c0a16db7f3a8453b2f",
+        "c013ae970f0cbbe734a4d533a1195cf3c8d99e26b6909645c15fb0049180067a",
+        "6e201ecebecba1edd399617ec5eb33a9bc2f01b471d2c0b0fe073a55e09ba2ec",
+    )),
+    ("sample_tempered_ml_waiting", (0.5, 1.0, 2.0), (
+        "528fc1a4861e794182b874def2b1ba1fe84a4040b51747504dfe3c4095e793d9",
+        "73d7e571e145677f989986e42a6692fd4bf5a21ed12fb868145b0f33e5032369",
+        "f758b9380ce9a523f2b179b942d5e2d43f0abeb7e67c98dd0f5528c6f7536322",
+        "ba3c7e8f168b2b132fc426907f966414c4fd9a3897361d62c5adf9856c84fdf8",
+    )),
+    ("sample_tempered_stable_increment", (0.5, 1.0, 2.0), (
+        "58fb2a777e77bb4a4ffecef88d26a691e617a60f57572697485fcc4b14890ec6",
+        "cd054a51e2fdc4444a3d966f1112719d9fd014d589e47dd0e217ba03b2638499",
+        "b5de72e137223dfd2aeaa6b35e6d14f92c50fad699881ac6ff59a3fc029bce7a",
+        "6a02b6da4c55c72814428b23a3d52156fc78644948ed173afe3ecddc57c2c01e",
+    )),
+    ("sample_inverse_stable_marginal", (0.7, 1.5), (
+        "41e8fb0cdef85c4ef1f29d149159ef436c6ce00e5ad99ba59d814a970627e8e4",
+        "8ff379caee2f877d573961b44652f2607f4cd6d21ec71b5872bef7b04f6e2c23",
+        "2a0d6a5f16e5b7f932d33e606a5594eaa99ec6c9ece965326ae49f8e480ae1ce",
+        "20da432c2f162ff17b9d772e09427652a789e63f32b49db3148431a0db33df11",
+    )),
+]
+
 
 def _outcome(f, *args):
     try:
@@ -271,3 +320,16 @@ def test_suite_report_digest(suite, digest, tmp_path):
 def test_running_max_digest(t, n_steps, stream_id, size, digest):
     draws = sample_brownian_running_max(t, n_steps, RngStream(42, stream_id), size=size)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+
+def test_bulk_sizes_straddle_the_block():
+    assert BULK_SIZES[2] == samplers._BLOCK
+
+
+@pytest.mark.parametrize("j", range(len(BULK_DRAW_DIGESTS)),
+                         ids=[row[0] for row in BULK_DRAW_DIGESTS])
+@pytest.mark.parametrize("k", range(len(BULK_SIZES)), ids=[str(n) for n in BULK_SIZES])
+def test_bulk_draw_digest(j, k):
+    name, args, digests = BULK_DRAW_DIGESTS[j]
+    draws = getattr(fp, name)(*args, RngStream(42, j), size=BULK_SIZES[k])
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digests[k]

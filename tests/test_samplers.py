@@ -7,10 +7,12 @@ checked exactly by replaying the same counter-based stream.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracpoisson import samplers
 from fracpoisson.errors import DomainError, SamplingError, UnsupportedSamplingError
 from fracpoisson.samplers import (
     RngStream,
@@ -243,6 +245,18 @@ class TestTemperedSamplers:
         with pytest.raises(DomainError):
             sample_tempered_ml_waiting(0.5, 4.0, 1.0, RngStream(SEED))
 
+    def test_chunk_cap_is_checked_before_drawing(self, monkeypatch):
+        # dt = 2 at a = 1 takes two chunks a draw: five draws stay below 11
+        monkeypatch.setattr(samplers, "_MAX_CHUNKS", 11)
+        draws = sample_tempered_stable_increment(0.5, 1.0, 2.0, RngStream(SEED), size=5)
+        assert draws.shape == (5,)
+        rng = RngStream(SEED)
+        with pytest.raises(SamplingError, match="11 or more rejection chunks"):
+            sample_tempered_stable_increment(0.5, 1.0, 2.0, rng, size=6)
+        with pytest.raises(SamplingError, match="11 or more rejection chunks"):
+            sample_tempered_stable_increment(0.5, 1.0, 100.0, rng, size=1)
+        assert rng.generator.random() == RngStream(SEED).generator.random()  # nothing drawn
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             sample_tempered_stable_increment(0.5, 0.0, 1.0, RngStream(SEED))
@@ -377,7 +391,50 @@ class TestBrownianRunningMax:
             sample_brownian_running_max(-1.0, 64, RngStream(SEED))
 
 
+class TestBlocks:
+    """The elementwise math runs in blocks written over the draw arrays."""
+
+    # (sampler, its arguments before the source, the draw arrays it holds)
+    BULK = [
+        (sample_ml_waiting, (0.6, 1.0), 3),
+        (sample_inverse_stable_marginal, (0.7, 1.0), 2),
+        (sample_stable_increment, (0.6, 2.0), 2),
+    ]
+
+    @pytest.mark.parametrize("sampler, args, arrays", BULK, ids=[f.__name__ for f, _, _ in BULK])
+    def test_bulk_draw_holds_its_draws_and_a_few_blocks(self, sampler, args, arrays):
+        # whole-array math held three or four more arrays of n temporaries
+        n = 10 ** 6
+        tracemalloc.start()
+        try:
+            sampler(*args, RngStream(SEED, 40), size=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (arrays * n + 6 * samplers._BLOCK)
+
+    def test_stacked_rows_are_the_rows(self):
+        # the n-path kernel hands _kanter 2-d stacked rows; past one block
+        # they are blocked over the flat array
+        shape = (3, samplers._BLOCK // 2 + 5)
+        u, e = (x.reshape(shape) for x in samplers._kanter_draws(
+            RngStream(SEED, 41).generator, shape[0] * shape[1]))
+        rows = [samplers._kanter(0.6, u[i].copy(), e[i]) for i in range(shape[0])]
+        stacked = samplers._kanter(0.6, u, e)
+        assert stacked.shape == shape and np.shares_memory(stacked, u)
+        assert stacked.tobytes() == np.concatenate(rows).tobytes()
+
+
 class TestSubordinatorAt:
+    @pytest.mark.parametrize(
+        "spec", [Stable(0.5), TemperedStable(0.5, 1.0), StableMixture((0.5, 0.5), (0.3, 0.7))],
+        ids=lambda s: type(s).__name__,
+    )
+    def test_size_zero_is_an_empty_stack(self, spec):
+        # np.stack of no paths raised ValueError
+        paths = sample_subordinator_at(spec, [1.0, 2.0], RngStream(SEED), size=0)
+        assert paths.shape == (0, 2)
+
     def test_paths_strictly_increasing(self):
         times = np.linspace(0.1, 2.0, 20)
         path = sample_subordinator_at(Stable(0.6), times, RngStream(SEED, 28))
