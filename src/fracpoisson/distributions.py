@@ -22,7 +22,6 @@ from scipy.special import gammaln
 
 from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
 from .special import (
-    _DEFAULT_CONTROL,
     _asymptotic_envelope,
     _asymptotic_series,
     _effective_switch,
@@ -98,7 +97,7 @@ def fpp_pmf(beta, lam, t, n):
     if not ok:
         return 0.0
     try:
-        series, max_term = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL)
+        series, max_term = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z)
     except EvaluationError:
         return _pmf_by_inversion(beta, lam, t, n)
     value = _pmf_from_series(z, n, series, max_term)
@@ -111,7 +110,7 @@ def _pmf_route(beta, z, n):
     may answer where ok, n <= 4z, and inversion the rest; below it the series
     answers where ok, n log z <= 700, and the rest is 0.0 (z <= 18.4**beta, so
     beta n > 240 and log p <= n log z - lgamma(beta n + 1) < -370 < log 1e-10)."""
-    far = z > _effective_switch(beta, _DEFAULT_CONTROL)
+    far = z > _effective_switch(beta)
     return far, n <= _FAR_TAIL_REACH * z if far else n * math.log(z) <= 700.0
 
 
@@ -146,7 +145,7 @@ def _fpp_pmf_grid(beta, lam, ts, n):
     n = _count("count", n)
     values = [None] * len(ts)
     if beta < 1.0:
-        switch = _effective_switch(beta, _DEFAULT_CONTROL)
+        switch = _effective_switch(beta)
         points = []
         for i, t in enumerate(ts):
             if 0.0 < t < math.inf:
@@ -154,10 +153,7 @@ def _fpp_pmf_grid(beta, lam, ts, n):
                 if 0.0 < z <= switch and n * math.log(z) <= 700.0:
                     points.append((i, z))
         if points:
-            # n = 0 is ml_one's power series: the same terms, its own stop rule
-            sums, tops = _series_rows(
-                n + 1.0, beta, beta * n + 1.0, [-z for _, z in points], ml=n == 0
-            )
+            sums, tops = _series_rows(n + 1.0, beta, beta * n + 1.0, [-z for _, z in points])
             for (i, z), total, top in zip(points, sums.tolist(), tops.tolist()):
                 if not math.isnan(total):
                     values[i] = total if n == 0 else _pmf_from_series(z, n, total, top)

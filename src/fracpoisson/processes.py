@@ -39,8 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TruncationError, _count, _nonnegative, _positive, _unit_interval
-from .samplers import _generator, _ml_draws, _ml_waits, sample_ml_waiting
+from .errors import (
+    DomainError, SamplingError, TruncationError, _count, _nonnegative, _positive, _unit_interval,
+)
+from .samplers import _generator, _ml_draws, _ml_waits
 from .transforms import JumpDist, _require_spec, spec_to_json
 
 __all__ = [
@@ -173,6 +175,12 @@ def simulate_fpp(beta, lam, horizon, rng):
     return _renewal_paths(_fpp_law(beta, lam, horizon), horizon, _generator(rng))[0]
 
 
+def _ml_batch(beta, lam, gen, n):
+    """n waits with ``sample_ml_waiting``'s generator calls and bits; one
+    that overflows is +inf, which the caller checks where it is kept."""
+    return _ml_waits(beta, lam, _ml_draws(gen, beta, n))
+
+
 def _fpp_law(beta, lam, horizon):
     """(draw, advance) of Mittag-Leffler renewal paths; see ``_renewal_paths``."""
     _positive("horizon", horizon)
@@ -180,8 +188,7 @@ def _fpp_law(beta, lam, horizon):
     _positive("rate", lam)
 
     def draw(gen, carry, alone):
-        return (sample_ml_waiting(beta, lam, gen, _BATCH),) if alone else \
-            _ml_draws(gen, beta, _BATCH)
+        return (_ml_batch(beta, lam, gen, _BATCH),) if alone else _ml_draws(gen, beta, _BATCH)
 
     def advance(cols, carry, alone):
         waits = cols[0] if alone else _ml_waits(beta, lam, cols)
@@ -254,7 +261,8 @@ def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
         alone = len(block) == 1
         rows = [draw(enter(j), carry.get(j, (0.0, 0.0)), alone) for j in block]
         start = np.array([carry.get(j, (0.0, 0.0)) for j in block])
-        new, clock, waits = advance([np.array(col) for col in zip(*rows)], start, alone)
+        with np.errstate(over="ignore"):  # an overflowed jump time is +inf
+            new, clock, waits = advance([np.array(col) for col in zip(*rows)], start, alone)
         for r in np.flatnonzero(~(new[:, 1:] > new[:, :-1]).all(axis=1)).tolist():
             row = new[r]  # a wait below the float spacing was lost: bump
             for k in range(1, _BATCH + 1):
@@ -263,6 +271,8 @@ def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
         at = block[-1]  # the path whose round gen stands at the end of
         for j, c, row in zip(block, clock.tolist(), new.tolist()):
             k = bisect.bisect_right(row, horizon, 1)  # row[k] is the first past it
+            if k <= _BATCH and row[k] == math.inf:  # kept; the ones after it are not
+                raise SamplingError("a jump time overflows a float: raise the rate")
             got = times.pop(j, []) + row[1:k + 1]
             if k <= _BATCH and jumps is None:
                 paths[j] = RenewalPath(tuple(got), horizon)
@@ -372,7 +382,9 @@ def _prelimit_values(beta, lam, c, t, n, gen):
         raise DomainError(f"scale must be finite and exceed 1, got {c!r}")
     _positive("time", t)
     _positive("rate", lam)
-    counts = _renewal_counts(lambda k: sample_ml_waiting(beta, 1.0, gen, size=k), c * t, n)
+    _unit_interval("order", beta, closed=True)
+    # an infinite wait only closes its path, so N(c t) stays right
+    counts = _renewal_counts(lambda k: _ml_batch(beta, 1.0, gen, k), c * t, n)
     return gen.binomial(np.floor(lam * counts).astype(np.int64), c ** (-beta))
 
 

@@ -211,12 +211,17 @@ def sample_ml_waiting(beta, lam, rng, size=None):
     """Draw a Mittag-Leffler waiting time with P(J > t) = E_beta(-lam t**beta).
 
     Uses J = lam**(-1/beta) W**(1/beta) D(1) with W unit exponential
-    independent of D(1); beta = 1 reduces to exponential(lam).
+    independent of D(1); beta = 1 reduces to exponential(lam).  A draw
+    that overflows a float raises SamplingError.
     """
     _unit_interval("order", beta, closed=True)
     _positive("rate", lam)
     gen = _generator(rng)
-    return _pack(_ml_waits(beta, lam, _ml_draws(gen, beta, _draws(size))), size)
+    waits = _ml_waits(beta, lam, _ml_draws(gen, beta, _draws(size)))
+    if not np.isfinite(waits).all():
+        raise SamplingError(f"Mittag-Leffler waits overflow a float at beta={beta!r}, "
+                            f"lam={lam!r}: raise the rate")
+    return _pack(waits, size)
 
 
 def _ml_draws(gen, beta, n):
@@ -226,16 +231,21 @@ def _ml_draws(gen, beta, n):
 
 
 def _ml_waits(beta, lam, draws):
-    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, written over the first."""
+    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, written over the first.
+
+    A wait that overflows is +inf, with no warning: the callers check it
+    or reject it.
+    """
     w = draws[0]
-    if beta == 1.0:
-        return np.divide(w, lam, out=w)
-    scale = _power("rate", lam, -1.0 / beta)
-    # D(1) first, while only the draws are held; each product commutes bit for bit
-    d = _kanter(beta, *draws[1:])
-    w **= 1.0 / beta
-    w *= scale
-    w *= d
+    with np.errstate(over="ignore"):
+        if beta == 1.0:
+            return np.divide(w, lam, out=w)
+        scale = _power("rate", lam, -1.0 / beta)
+        # D(1) first, while only the draws are held; each product commutes bit for bit
+        d = _kanter(beta, *draws[1:])
+        w **= 1.0 / beta
+        w *= scale
+        w *= d
     return w
 
 

@@ -8,8 +8,10 @@ asymptotic expansions deep on the negative axis.
 Series summation uses exact compensated accumulation (``math.fsum``) so
 truncation, not rounding, dominates the error.  The private array kernel
 ``_series_rows`` sums the series of many rows at once, bit for bit as the
-scalar loops do: many ``z``, or per-row gamma and theta at one ``z``, for
-the pmf grids in t and pmf tables in n of ``distributions``.
+scalar loop does: many ``z``, or per-row gamma and theta at one ``z``, for
+the pmf grids in t and pmf tables in n of ``distributions``.  One loop,
+``_prabhakar_series``, sums every power series: ``ml_one``'s is its
+gamma = theta = 1 case.
 
 Accuracy notes
 --------------
@@ -18,13 +20,16 @@ once the largest term reaches ``exp(|z|**(1/beta))``, so the switch to
 the asymptotic branch is capped at ``|z| = 18.4**beta`` (where both
 branches deliver roughly 1e-8 absolute error) rather than at a fixed
 radius.  Near that crossover the absolute error of ``ml_one`` exceeds
-that 1e-8 for ``beta <= 0.5``.  Its worst errors over z from -switch to
--0.8 switch (201 points, against a 40-digit mpmath sum of the series)
-are 6.5e-8 at ``beta = 0.1``, 1.65e-7 at 0.2, 9.1e-8 at 0.3, 7.6e-8 at
-0.4, 1.6e-8 at 0.5 and 7.5e-9 at 0.7, and up to a few 1e-7 as ``beta``
-approaches 1; relative error at the crossover degrades for
-``beta >= 0.9`` because the function itself becomes exponentially small
-there.
+that 1e-8 on the series side for ``beta <= 0.5`` and at 0.8: its worst
+errors over z from -switch to -0.8 switch (against a 40-digit mpmath sum
+of the series) are 6.5e-8 at ``beta = 0.1``, 1.65e-7 at 0.2, 9.1e-8 at
+0.3, 7.6e-8 at 0.4, 1.6e-8 at 0.5, 7.5e-9 at 0.7, 2.3e-8 at 0.8 and
+below 1e-9 from 0.9 on.  Just past the switch the asymptotic branch is the
+worse one as ``beta`` approaches 1, where the expansion leaves out a
+term of about exp(-|z|): its worst errors from the switch out to
+``|z| = max(60, 3 switch)``, all at ``z = -switch``, are 1.4e-9 at 0.7,
+3.3e-9 at 0.8, 3.1e-7 at 0.9, 3.9e-6 at 0.95, 2.9e-5 at 0.99 and
+4.4e-5 at 0.999, a quarter of the value (ROADMAP item 1).
 
 One routine, ``_asymptotic_series``, sums the asymptotic expansion for
 ``ml_one``, ``prabhakar`` and the far-tail pmf of ``distributions``.  It
@@ -37,15 +42,13 @@ coarse for the value, ``ml_one`` does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from .errors import DomainError, EvaluationError, _count, _nonnegative, _positive, _unit_interval
+from .errors import DomainError, EvaluationError, _nonnegative, _positive, _unit_interval
 
 __all__ = [
-    "SeriesControl",
     "ml_one",
     "prabhakar",
     "ml_waiting_survival",
@@ -59,74 +62,29 @@ _CANCEL_BUDGET = 18.4
 # Terms the asymptotic expansions of ml_one and prabhakar look among for
 # their optimal truncation.
 _ASYMPTOTIC_TERMS = 500
+# Absolute truncation target of the power series: it stops at the third
+# term in a row below 1e-3 of it.
+_ABS_TOL = 1e-12
+# Hard cap on the number of power-series terms; 1000 lets the series
+# converge up to the cancellation cap for every beta >= 0.08.
+_MAX_TERMS = 1000
+# The series switch is never above this |z|.
+_ASYMPTOTIC_SWITCH = 10.0
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Tuning knobs for the series evaluations.
-
-    abs_tol
-        Absolute truncation target for series tails.
-    max_terms
-        Hard cap on the number of power-series terms; 1000 lets the
-        series converge up to the cancellation cap for every beta >= 0.08.
-        The asymptotic branch picks its optimal truncation among its first
-        ``_ASYMPTOTIC_TERMS`` terms whatever the cap.
-    asymptotic_switch
-        ``|z|`` above which the asymptotic branch is preferred.  The
-        effective switch is ``min(asymptotic_switch, 18.4**beta, budget)``
-        where the last two caps keep the power series inside its
-        double-precision cancellation and term budgets.
-    """
-
-    abs_tol: float = 1e-12
-    max_terms: int = 1000
-    asymptotic_switch: float = 10.0
-
-    def __post_init__(self):
-        _positive("abs_tol", self.abs_tol)
-        object.__setattr__(self, "max_terms", _count("max_terms", self.max_terms, least=10))
-        _positive("asymptotic_switch", self.asymptotic_switch)
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
-def _effective_switch(beta: float, control: SeriesControl) -> float:
+def _effective_switch(beta: float) -> float:
+    """|z| up to which the power series answers: ``min(10, 18.4**beta, budget)``,
+    the last two caps keeping it inside its cancellation and term budgets."""
     # Cancellation cap: the largest power-series term is ~exp(|z|**(1/beta)).
     cancel = _CANCEL_BUDGET ** beta
     # Convergence-budget cap: the series stops at the third term in a row
-    # below stop = 1e-3 abs_tol.  Its terms |z|**k / Gamma(1 + beta k) are
+    # below stop = 1e-3 _ABS_TOL.  Its terms |z|**k / Gamma(1 + beta k) are
     # log-concave in k, so they fall for good once one is below stop (the
-    # first is 1), and term k = max_terms - 3 does so for every |z| up to
+    # first is 1), and term k = _MAX_TERMS - 3 does so for every |z| up to
     # (stop/2 Gamma(1 + beta k))**(1/k), half of stop kept for rounding.
-    k = control.max_terms - 3
-    budget = math.exp((gammaln(1.0 + beta * k) + math.log(5e-4 * control.abs_tol)) / k)
-    return min(control.asymptotic_switch, cancel, budget)
-
-
-def _ml_power_series(beta: float, z: float, control: SeriesControl) -> float:
-    stop = 1e-3 * control.abs_tol
-    terms = [1.0]
-    zk = 1.0
-    small = 0
-    for k in range(1, control.max_terms):
-        zk *= z
-        arg = 1.0 + beta * k
-        if arg < _GAMMA_OVERFLOW and math.isfinite(zk):
-            t = zk * rgamma(arg)
-        else:
-            mag = math.exp(k * math.log(abs(z)) - gammaln(arg)) if z != 0.0 else 0.0
-            t = -mag if (z < 0.0 and k % 2) else mag
-        terms.append(t)
-        small = small + 1 if abs(t) < stop else 0
-        if small >= 3:
-            return math.fsum(terms)
-    raise EvaluationError(
-        f"Mittag-Leffler series did not converge in {control.max_terms} terms "
-        f"(beta={beta}, z={z})",
-        partial=math.fsum(terms),
-    )
+    k = _MAX_TERMS - 3
+    budget = math.exp((gammaln(1.0 + beta * k) + math.log(5e-4 * _ABS_TOL)) / k)
+    return min(_ASYMPTOTIC_SWITCH, cancel, budget)
 
 
 def _asymptotic_envelope(g, h, alpha, theta, lx, n_terms, reflect=False):
@@ -170,7 +128,7 @@ def _asymptotic_series(g, h, alpha, theta, lx, n_terms, reflect=False):
     return math.fsum(terms), float(np.min(ln_env))
 
 
-def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float:
+def ml_one(beta: float, z: float) -> float:
     """One-parameter Mittag-Leffler function ``E_beta(z)``.
 
     ``E_beta(z) = sum_k z^k / Gamma(1 + beta k)``, the stretched-
@@ -184,20 +142,15 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
         Order, in ``(0, 1]``.  ``beta = 1`` is routed to ``exp``.
     z : float
         Finite real argument.  Arbitrary ``z <= 0``; positive ``z`` only
-        within the power-series radius (see ``SeriesControl``).
-    control : SeriesControl, optional
-        Series evaluation controls.
+        within the power-series radius ``min(10, 18.4**beta)`` (slightly
+        less for ``beta < 0.08``, where the 1000-term budget binds).
 
     Raises
     ------
     DomainError
         If ``beta`` is outside ``(0, 1]``, ``z`` is not finite, or
         positive ``z`` exceeds the supported series radius.
-    EvaluationError
-        If the series fails to converge within ``max_terms``; the
-        exception carries the partial sum.
     """
-    ctrl = control or _DEFAULT_CONTROL
     _unit_interval("order", beta, closed=True)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
@@ -205,16 +158,15 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
         return math.exp(z)
     if z == 0.0:
         return 1.0
-    switch = _effective_switch(beta, ctrl)
-    if z > 0.0:
-        if z > switch:
-            raise DomainError(
-                f"positive z={z} exceeds the supported series radius {switch:.3g} "
-                f"for beta={beta}"
-            )
-        return _ml_power_series(beta, z, ctrl)
+    switch = _effective_switch(beta)
+    if z > switch:
+        raise DomainError(
+            f"positive z={z} exceeds the supported series radius {switch:.3g} for beta={beta}"
+        )
     if -z <= switch:
-        return _ml_power_series(beta, z, ctrl)
+        # the Prabhakar series at gamma = theta = 1; its guards cannot fire
+        # here, where the largest term is at most exp(18.4)
+        return _prabhakar_series(1.0, beta, 1.0, z)[0]
     # E_beta(-x) ~ sum_{k=1}^{N-1} (-1)^{k+1} x^{-k} / Gamma(1 - beta k) with
     # N = _ASYMPTOTIC_TERMS, truncated on the reflection bound
     # x^{-k} Gamma(beta k)/pi for every term (the exact head of the envelope
@@ -225,13 +177,7 @@ def ml_one(beta: float, z: float, control: SeriesControl | None = None) -> float
     return total
 
 
-def prabhakar(
-    gamma: float,
-    alpha: float,
-    theta: float,
-    z: float,
-    control: SeriesControl | None = None,
-) -> float:
+def prabhakar(gamma: float, alpha: float, theta: float, z: float) -> float:
     """Three-parameter (Prabhakar) Mittag-Leffler function.
 
     ``E^gamma_{alpha,theta}(z) = sum_r (gamma)_r z^r / (r! Gamma(alpha r + theta))``
@@ -253,15 +199,12 @@ def prabhakar(
     z : float
         Finite real argument; arbitrary ``z <= 0``, positive ``z`` within
         the series convergence budget.
-    control : SeriesControl, optional
-        Series evaluation controls.
     """
-    ctrl = control or _DEFAULT_CONTROL
     for name, value in (("gamma", gamma), ("alpha", alpha), ("theta", theta)):
         _positive(name, value)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
-    if alpha < 1.0 and z < -_effective_switch(alpha, ctrl):
+    if alpha < 1.0 and z < -_effective_switch(alpha):
         # E^g_{a,th}(-x) ~ sum_k (-1)^k (g)_k / k! * x^{-g-k} / Gamma(th - a(g+k)),
         # the term-wise inverse transform of the s -> 0 binomial expansion
         # of s^{a g - th} (s^a + x)^{-g}; absolute error about the floor
@@ -276,21 +219,22 @@ def prabhakar(
                 partial=total,
             )
         return total
-    return _prabhakar_series(gamma, alpha, theta, z, ctrl)[0]
+    return _prabhakar_series(gamma, alpha, theta, z)[0]
 
 
-def _prabhakar_series(gamma, alpha, theta, z, ctrl):
+def _prabhakar_series(gamma, alpha, theta, z):
     """(sum, largest |term|) of the defining series, raising as ``prabhakar`` does."""
-    stop = 1e-3 * ctrl.abs_tol
+    stop = 1e-3 * _ABS_TOL
     lgamma0 = gammaln(gamma)
     terms = []
     poch_over_fact = 1.0  # (gamma)_r / r!
     zk = 1.0
     small = 0
     max_mag = 0.0
+    cut = 0.0  # stop * min(1, max_mag)
     prev_mag = math.inf
     converged = False
-    for r in range(ctrl.max_terms):
+    for r in range(_MAX_TERMS):
         arg = alpha * r + theta
         if arg < _GAMMA_OVERFLOW and math.isfinite(poch_over_fact) and math.isfinite(zk):
             t = poch_over_fact * zk * rgamma(arg)
@@ -315,22 +259,23 @@ def _prabhakar_series(gamma, alpha, theta, z, ctrl):
         # as negligible once magnitudes stop growing and it sits below the
         # roundoff scale of the largest term seen.
         mag_t = abs(t)
-        max_mag = max(max_mag, mag_t)
-        small = (
-            small + 1
-            if (mag_t <= prev_mag and mag_t <= stop * min(1.0, max_mag))
-            else 0
-        )
+        if mag_t > max_mag:
+            max_mag = mag_t
+            cut = stop * min(1.0, max_mag)
+        if mag_t <= prev_mag and mag_t <= cut:
+            small += 1
+            if small == 3:
+                converged = True
+                break
+        else:
+            small = 0
         prev_mag = mag_t
-        if small >= 3:
-            converged = True
-            break
         poch_over_fact *= (gamma + r) / (r + 1.0)
         zk *= z
     total = math.fsum(terms)
     if not converged:
         raise EvaluationError(
-            f"Prabhakar series did not converge in {ctrl.max_terms} terms "
+            f"Prabhakar series did not converge in {_MAX_TERMS} terms "
             f"(gamma={gamma}, alpha={alpha}, theta={theta}, z={z})",
             partial=total,
         )
@@ -345,42 +290,40 @@ def _prabhakar_series(gamma, alpha, theta, z, ctrl):
 
 def _cancels(total, max_mag):
     """Whether a series summed to total from terms up to max_mag lost too
-    much to rounding for ``prabhakar``."""
-    return max_mag * 1.1e-16 > 1e-6 * max(1.0, abs(total))
+    much to rounding for ``prabhakar``; elementwise on arrays."""
+    noise = max_mag * 1.1e-16  # > 1e-6 * max(1, |total|), without a ufunc call on floats
+    return (noise > 1e-6) & (noise > 1e-6 * abs(total))
 
 
 _SERIES_BLOCK = 1 << 12  # terms per array of series rows, 32 kB: faster and leaner than 0.5 MB
 
 
-def _series_rows(gamma, alpha, theta, zs, ml=False):
+def _series_rows(gamma, alpha, theta, zs):
     """``_prabhakar_series`` at every row, bit for bit, from array passes.
 
     gamma, theta and zs broadcast to one row each (many z at one gamma and
     theta, or one z at per-row gamma and theta).  Returns (totals,
     max_mags).  The coefficients (gamma)_r / r! and 1/Gamma(alpha r +
     theta) follow the scalar recurrences, built only as wide as the rows
-    in use (64 terms, then 256, then ``max_terms``; a cumprod extended from
+    in use (64 terms, then 256, then ``_MAX_TERMS``; a cumprod extended from
     its last value repeats the same products), z**r is a row cumprod, each
     term is (coefficient * z**r) / Gamma, and each row is ``math.fsum``med
-    up to where the scalar loop stops.  With ``ml`` the rows are
-    ``_ml_power_series`` (gamma = theta = 1, alpha = beta): its own stop
-    rule, no cancellation guard.  A row the scalar loop raises on (no stop
-    within ``max_terms``, cancellation) is NaN in both arrays; one that
+    up to where the scalar loop stops.  A row the scalar loop raises on (no
+    stop within ``_MAX_TERMS``, cancellation) is NaN in both arrays; one that
     reaches the lgamma branch or a non-finite term first has a NaN total
     and an infinite max_mag.
     """
-    ctrl = _DEFAULT_CONTROL
-    stop = 1e-3 * ctrl.abs_tol
+    stop = 1e-3 * _ABS_TOL
     gamma, theta, zs = (np.asarray(a, dtype=float) for a in (gamma, theta, zs))
     zs = np.broadcast_to(zs, np.broadcast(gamma, theta, zs).shape).ravel()
     cols = 1 if gamma.ndim == theta.ndim == 0 else zs.size  # column rows: shared, or one per row
     g, th = (np.broadcast_to(a, (cols,))[:, None] for a in (gamma, theta))
     totals, max_mags = np.full((2, zs.size), np.nan)
-    r = np.arange(ctrl.max_terms)
+    r = np.arange(_MAX_TERMS)
     with np.errstate(over="ignore", invalid="ignore"):
         coef, rg = np.ones((cols, 1)), np.empty((cols, 0))
         # most rows stop within 64 terms; only the others are widened
-        pending, width = np.arange(zs.size), min(64, ctrl.max_terms)
+        pending, width = np.arange(zs.size), min(64, _MAX_TERMS)
         while pending.size:
             grow = r[coef.shape[1]:width]
             steps = np.concatenate((coef[:, -1:], (g + (grow - 1)) / grow), axis=1)
@@ -394,24 +337,24 @@ def _series_rows(gamma, alpha, theta, zs, ml=False):
             for lo in range(0, pending.size, block):
                 rows = pending[lo:lo + block]
                 part = slice(None) if cols == 1 else slice(lo, lo + block)
-                terms, running, ends = _series_block(zs[rows], coef[part], rg[part], stop, ml)
+                terms, running, ends = _series_block(zs[rows], coef[part], rg[part], stop)
                 for j, (i, row, top, end) in enumerate(
                         zip(rows.tolist(), terms, running, ends.tolist())):
                     if end < 0:
                         max_mags[i] = math.inf
                     elif end < width:
-                        total = math.fsum(row[: end + 1].tolist())
-                        if ml or not _cancels(total, top[end]):
-                            totals[i], max_mags[i] = total, top[end]
-                    elif width < ctrl.max_terms:
+                        totals[i], max_mags[i] = math.fsum(row[: end + 1].tolist()), top[end]
+                    elif width < _MAX_TERMS:
                         longer.append(lo + j)
             if cols > 1:
                 coef, rg, g, th = (a[longer] for a in (coef, rg, g, th))
-            pending, width = pending[longer], min(4 * width, ctrl.max_terms)
+            pending, width = pending[longer], min(4 * width, _MAX_TERMS)
+        off = _cancels(totals, max_mags)  # a row without a sum (NaN) compares False
+    totals[off] = max_mags[off] = np.nan
     return totals, max_mags
 
 
-def _series_block(z, coef, rg, stop, ml):
+def _series_block(z, coef, rg, stop):
     """(terms, running max |term|, stop index) of the series rows at z.
 
     The stop index is the last term the scalar loop sums, -1 where a row
@@ -427,14 +370,11 @@ def _series_block(z, coef, rg, stop, ml):
     terms *= rg
     mag = np.abs(terms)
     running = np.maximum.accumulate(mag, axis=1)
-    if ml:
-        small = mag < stop
-    else:
-        prev = np.empty_like(mag)
-        prev[:, 0] = np.inf
-        prev[:, 1:] = mag[:, :-1]
-        small = (mag <= prev) & (mag <= stop * np.minimum(1.0, running))
-    # the scalar loops stop at the third small term in a row
+    prev = np.empty_like(mag)
+    prev[:, 0] = np.inf
+    prev[:, 1:] = mag[:, :-1]
+    small = (mag <= prev) & (mag <= stop * np.minimum(1.0, running))
+    # the scalar loop stops at the third small term in a row
     third = small[:, 2:] & small[:, 1:-1] & small[:, :-2]
     ends = np.where(third.any(axis=1), third.argmax(axis=1) + 2, width)
     off = ~np.isfinite(terms)

@@ -184,7 +184,7 @@ class TestCheck:
         # theorem23 fails by construction when its walks wait with order
         # 0.45 against the exact law of order 0.5
         monkeypatch.setattr(
-            "fracpoisson.processes.sample_ml_waiting",
+            "fracpoisson.processes._ml_batch",
             lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
         )
         code, out, _ = run_cli(["check", "--suite", "theorem23", "--seed", "1"],
@@ -306,6 +306,17 @@ class TestSample:
                                   "--seed", "1"], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and what in err and err.count("\n") == 1
+
+    def test_overflowing_waits_exit_1(self, capsys):
+        # this exited 2 with "jump times must be finite, ..." after numpy
+        # overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["sample", "--process", "fpp", "--beta", "0.1", "--lambda", "1e-30",
+                 "--horizon", "1e300", "--paths", "20", "--seed", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "overflows a float" in err and err.count("\n") == 1
 
     def test_ctrw_default_jumps(self, capsys):
         code, out, _ = run_cli(

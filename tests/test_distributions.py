@@ -42,7 +42,6 @@ from fracpoisson.distributions import (
 )
 from fracpoisson.errors import DomainError, EvaluationError
 from fracpoisson.special import (
-    _DEFAULT_CONTROL,
     _effective_switch,
     _prabhakar_series,
     ml_one,
@@ -56,6 +55,8 @@ from fracpoisson.transforms import (
     laplace_exponent,
     spec_to_json,
 )
+
+from oracles import fpp_pmf_series
 
 # P(N(t) = n) for beta = 0.5, lam = 1: (t, n, probability, rel tolerance).
 # Most points resolve through the power series or the numerical inversion
@@ -122,6 +123,17 @@ class TestFppPmf:
         assert fpp_pmf(0.5, 1.0, 1000.0, 250) == pytest.approx(
             1.275466793881e-08, abs=2e-9
         )
+
+    @pytest.mark.parametrize("t", [
+        10.0024,  # z = t**0.999 = 9.979, below the series switch at 10
+        # z = 10.0024, just past it: 1.3226e-4 against 1.7570e-4
+        pytest.param(10.0255, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1: ml_one past its series switch as beta -> 1")),
+    ])
+    def test_empty_count_near_beta_one_either_side_of_the_switch(self, t):
+        pytest.importorskip("mpmath")
+        exact = float(fpp_pmf_series(0.999, t ** 0.999, 0))
+        assert abs(fpp_pmf(0.999, 1.0, t, 0) - exact) <= 1e-10
 
     def test_far_tail_overflow_reroutes(self):
         # the far-tail series overflows for these n; no NaN, ValueError or
@@ -224,7 +236,7 @@ class TestSeriesRoundoffGuard:
         routes = {"guard": 0, "series error": 0, "series": 0, "underflow": 0}
         for beta, lam, t, n in self.GRID:
             z = lam * t**beta
-            if z > _effective_switch(beta, _DEFAULT_CONTROL) or n * math.log(z) > 700.0:
+            if z > _effective_switch(beta) or n * math.log(z) > 700.0:
                 continue  # far-tail and zero-prefactor routes come before the guard
             if not _series_guard_2000_terms(beta, z, n):
                 route = "guard"
@@ -240,9 +252,7 @@ class TestSeriesRoundoffGuard:
                 beta, lam, t, n, route,
             )
             routes[route] += 1
-            if route == "series" and _prabhakar_series(
-                n + 1.0, beta, beta * n + 1.0, -z, _DEFAULT_CONTROL
-            )[1] == 0.0:
+            if route == "series" and _prabhakar_series(n + 1.0, beta, beta * n + 1.0, -z)[1] == 0.0:
                 # every term underflows: nothing to round, and the pmf is 0
                 assert value == 0.0
                 routes["underflow"] += 1

@@ -9,7 +9,9 @@ maximum digests by the one that took ``cumsum`` and ``max`` over every
 block's rows, however narrow (``theorem51`` is re-pinned for its
 n-path time-change kernel, which reads the stream in another order);
 the bulk draw digests by the samplers that evaluated their elementwise
-math over the whole array at once.
+math over the whole array at once; the series value digests by the
+implementation that summed ``ml_one``'s power series in a loop of its
+own, apart from the Prabhakar loop.
 The values that come from the package's own Laplace inversions (three
 ``FPP_PMF_FAR`` rows, the ``pmf --spec`` tables and the ``theorem31``,
 ``theorem41`` and ``distributed`` reports) are pinned from the array
@@ -24,12 +26,14 @@ of those layers must keep the output bytes identical.
 import contextlib
 import hashlib
 import io
+import math
 
+import numpy as np
 import pytest
 
 from fracpoisson import fpp_pmf, ml_one, prabhakar
 from fracpoisson.cli import main
-from fracpoisson.distributions import _pmf_far_tail
+from fracpoisson.distributions import _fpp_pmf_grid, _pmf_far_tail
 import fracpoisson as fp
 from fracpoisson import samplers
 from fracpoisson.samplers import RngStream, sample_brownian_running_max
@@ -230,6 +234,62 @@ BULK_DRAW_DIGESTS = [
 ]
 
 
+# (beta, its series switch): the series digests below evaluate at z on
+# both sides of each switch, positive z included
+SERIES_SWITCHES = [
+    (0.05, 1.1196283033156778), (0.1, 1.3380790844999138), (0.25, 2.0711161526832442),
+    (0.5, 4.2895221179054435), (0.75, 8.884098545686003), (0.9, 10.0), (0.999, 10.0),
+]
+
+
+def _series_points(switch):
+    """z from -3 to +1 switches, and the switch and its neighbours at either sign."""
+    edge = [math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)]
+    return (np.linspace(-3.0, 1.0, 41) * switch).tolist() + edge + [-x for x in edge]
+
+
+def _ml_one_values():
+    return [_outcome(ml_one, beta, z) for beta, switch in SERIES_SWITCHES
+            for z in _series_points(switch)]
+
+
+def _prabhakar_values():
+    return [_outcome(prabhakar, g, alpha, th, z) for alpha, switch in SERIES_SWITCHES
+            for g, th in [(1.0, 1.0), (3.0, 2.0 * alpha + 1.0), (2.5, 0.7)]
+            for z in _series_points(switch)]
+
+
+def _fpp_pmf_values():
+    # lam = 1, so z = t**beta; counts from n = 0 to rows n >= 170/beta,
+    # whose series starts on the lgamma branch
+    values = []
+    for beta, switch in SERIES_SWITCHES:
+        ts = [x ** (1.0 / beta) for x in _series_points(switch) if x > 0.0]
+        deep = [math.ceil(170.0 / beta), math.ceil(170.0 / beta) + 37]
+        values += [_outcome(fpp_pmf, beta, 1.0, t, n) for n in [0, 1, 2, 7, 30] for t in ts]
+        values += [_outcome(fpp_pmf, beta, 1.0, t, n)
+                   for n in deep for t in ts if t ** beta <= switch]
+    return values
+
+
+def _fpp_pmf_grid_values():
+    values = []
+    for beta, switch in SERIES_SWITCHES:
+        ts = [0.0] + [x ** (1.0 / beta) for x in _series_points(switch) if x > 0.0]
+        for n in (0, 1, 4):
+            values += [repr(v) for v in _fpp_pmf_grid(beta, 1.0, ts, n)]
+    return values
+
+
+# (values, count, sha256 of their repr strings joined by newlines)
+SERIES_VALUE_DIGESTS = [
+    (_ml_one_values, 329, "c43327a66849ae8b3a642d2cce65f12566286cf31cc3a0cbeb7fad9c1721f9d8"),
+    (_prabhakar_values, 987, "c2258afbace201b409218ec6d9595b5e3e8bcf0932302516c9cf3c062c3088ff"),
+    (_fpp_pmf_values, 613, "68f6c43b0c2c08e23f08f40c1fe2ed7c78a88917f32114b4dec8bd4c43448a23"),
+    (_fpp_pmf_grid_values, 294, "972542e9c9d4dbd05fa34e924739b410eaf060b1b9386bc00a557f7b013bcecf"),
+]
+
+
 def _outcome(f, *args):
     try:
         return repr(f(*args))
@@ -333,3 +393,11 @@ def test_bulk_draw_digest(j, k):
     name, args, digests = BULK_DRAW_DIGESTS[j]
     draws = getattr(fp, name)(*args, RngStream(42, j), size=BULK_SIZES[k])
     assert hashlib.sha256(draws.tobytes()).hexdigest() == digests[k]
+
+
+@pytest.mark.parametrize("values, count, digest", SERIES_VALUE_DIGESTS,
+                         ids=["ml_one", "prabhakar", "fpp_pmf", "fpp_pmf_grid"])
+def test_series_value_digest(values, count, digest):
+    reprs = values()
+    assert len(reprs) == count
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == digest

@@ -7,13 +7,19 @@ process-equality statements the samplers implement.
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fracpoisson import processes
 from fracpoisson.distributions import fpp_pmf
-from fracpoisson.errors import DomainError, TruncationError, UnsupportedSamplingError
+from fracpoisson.errors import (
+    DomainError,
+    SamplingError,
+    TruncationError,
+    UnsupportedSamplingError,
+)
 from fracpoisson.processes import (
     CTRWPath,
     GridPath,
@@ -27,7 +33,13 @@ from fracpoisson.processes import (
     simulate_fpp,
     simulate_timechange_renewal,
 )
-from fracpoisson.samplers import RngStream, sample_ml_waiting, sample_subordinator_at
+from fracpoisson.samplers import (
+    RngStream,
+    _ml_draws,
+    _ml_waits,
+    sample_ml_waiting,
+    sample_subordinator_at,
+)
 from fracpoisson.transforms import (
     DistributedOrder,
     JumpDist,
@@ -156,6 +168,30 @@ class TestSimulateFpp:
         with pytest.raises(DomainError):
             simulate_fpp(0.5, 1.0, 0.0, RngStream(SEED))
 
+    def test_overflow_raises_only_when_kept(self):
+        # lam**(-10) = 1e300: about one wait in eight overflows to inf.  A path
+        # keeps its jumps up to the first past the horizon, and raises only
+        # when that one is inf; the one-path and the n-path routes agree.
+        beta, lam, horizon = 0.1, 1e-30, 1e200
+        law = processes._fpp_law(beta, lam, horizon)
+        kinds, ok = set(), []
+        for i in range(20):
+            with np.errstate(over="ignore"):
+                waits = _ml_waits(beta, lam, _ml_draws(RngStream(SEED, i).generator, beta, 32))
+                times = np.cumsum(waits).tolist()
+            k = next(k for k, x in enumerate(times) if x > horizon)
+            kinds.add((times[k] == math.inf, times[-1] == math.inf))
+            if times[k] == math.inf:
+                with pytest.raises(SamplingError, match="overflows a float"):
+                    simulate_fpp(beta, lam, horizon, RngStream(SEED, i))
+            else:
+                assert simulate_fpp(beta, lam, horizon, RngStream(SEED, i)).jump_times == \
+                    tuple(times[:k + 1])
+                ok.append((i, tuple(times[:k + 1])))
+        assert kinds == {(True, True), (False, True)}  # both cases met, each past an inf
+        paths = processes._renewal_paths(law, horizon, RngStream(SEED), [i for i, _ in ok])
+        assert [p.jump_times for p in paths] == [want for _, want in ok]
+
 
 class TestSubSpacingWaits:
     """Waits below the float spacing near t must not repeat a jump time."""
@@ -177,7 +213,7 @@ class TestSubSpacingWaits:
         waits = np.full(32, 1e-17)
         waits[0], waits[-1] = 1.0, 5.0
         monkeypatch.setattr(
-            "fracpoisson.processes.sample_ml_waiting", lambda *args, **kwargs: waits
+            "fracpoisson.processes._ml_batch", lambda *args, **kwargs: waits
         )
         times = np.asarray(simulate_fpp(0.5, 1.0, 3.0, RngStream(SEED)).jump_times)
         assert len(times) == 32
@@ -200,7 +236,7 @@ class TestSubSpacingWaits:
     def test_fpp_tie_at_batch_boundary(self, monkeypatch):
         batches = self._boundary_batches()
         monkeypatch.setattr(
-            "fracpoisson.processes.sample_ml_waiting", lambda *args, **kwargs: next(batches)
+            "fracpoisson.processes._ml_batch", lambda *args, **kwargs: next(batches)
         )
         times = simulate_fpp(0.5, 1.0, 8.0, RngStream(SEED)).jump_times
         self._assert_bumped_at_boundary(times)
@@ -437,6 +473,19 @@ class TestPrelimitBernoulli:
         a = [ctrw_prelimit_bernoulli(0.5, 1.0, 10.0, 1.0, RngStream(SEED, 13)) for _ in range(5)]
         b = [ctrw_prelimit_bernoulli(0.5, 1.0, 10.0, 1.0, RngStream(SEED, 13)) for _ in range(5)]
         assert a == b
+
+    def test_infinite_waits_only_close_paths(self):
+        # at beta = 0.01 about one wait in 750 is inf, so some of these
+        # 32-wait passes hold one; Kanter's ratio is 0/0 for a few draws there
+        # and warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with np.errstate(over="ignore"):
+                hit = sum(bool(np.isinf(_ml_waits(0.01, 1.0, _ml_draws(
+                    RngStream(SEED, 50 + i).generator, 0.01, 32))).any()) for i in range(200))
+            draws = [ctrw_prelimit_bernoulli(0.01, 1.0, 2.0, 1.0, RngStream(SEED, 50 + i))
+                     for i in range(200)]
+        assert hit > 0 and all(isinstance(v, int) and v >= 0 for v in draws)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

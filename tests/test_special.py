@@ -15,17 +15,18 @@ from hypothesis import strategies as st
 
 from fracpoisson.errors import DomainError, EvaluationError
 from fracpoisson.special import (
-    _DEFAULT_CONTROL,
+    _ASYMPTOTIC_TERMS,
+    _asymptotic_series,
     _effective_switch,
-    _ml_power_series,
     _prabhakar_series,
     _series_rows,
-    SeriesControl,
     ml_one,
     ml_waiting_pdf,
     ml_waiting_survival,
     prabhakar,
 )
+
+from oracles import fpp_pmf_series
 
 # (beta, z) -> E_beta(z), series/spectral/inversion routes agreeing
 ML_ONE_VALUES = [
@@ -140,7 +141,7 @@ class TestMlOne:
                         return total
                     k += 1
 
-        switch = _effective_switch(beta, _DEFAULT_CONTROL)
+        switch = _effective_switch(beta)
         for z in np.linspace(-switch, switch, 17).tolist():
             ref30, ref40 = oracle(z, 30), oracle(z, 40)
             assert abs(ref30 - ref40) < 1e-20
@@ -151,13 +152,36 @@ class TestMlOne:
     def test_series_asymptotic_branch_agreement(self):
         # evaluate the same point with both branches; they may only differ
         # by the asymptotic optimal-truncation floor near the switch
-        force_asym = SeriesControl(asymptotic_switch=1e-3)
         for beta in (0.4, 0.6, 0.8):
-            z = -0.95 * _effective_switch(beta, _DEFAULT_CONTROL)
+            z = -0.95 * _effective_switch(beta)
             series_val = ml_one(beta, z)
-            asym_val = ml_one(beta, z, force_asym)
+            asym_val, _ = _asymptotic_series(
+                1.0, 1.0, beta, 1.0, math.log(-z), _ASYMPTOTIC_TERMS - 1, reflect=True
+            )
             assert abs(series_val - asym_val) < 1e-7
             assert abs(series_val - asym_val) < 2e-6 * series_val
+
+    # (beta, worst absolute error on the series side, z from -0.8 switch to
+    # -switch, and past it, out to max(60, 3 switch)), as the module's
+    # accuracy note gives them; None where the note gives no figure
+    @pytest.mark.parametrize("beta, series_error, past_error", [
+        (0.1, 6.5e-8, None), (0.2, 1.65e-7, None), (0.3, 9.1e-8, None),
+        (0.4, 7.6e-8, None), (0.5, 1.6e-8, None), (0.7, 7.5e-9, 1.4e-9),
+        (0.8, 2.3e-8, 3.3e-9), (0.9, 1e-9, 3.1e-7), (0.95, 1e-9, 3.9e-6),
+        (0.99, 1e-9, 2.9e-5), (0.999, 1e-9, 4.4e-5),
+    ])
+    def test_errors_within_the_accuracy_note(self, beta, series_error, past_error):
+        pytest.importorskip("mpmath")
+        switch = _effective_switch(beta)
+        sides = [(np.linspace(0.8 * switch, switch, 6), series_error)]
+        if past_error is not None:
+            far = max(60.0, 3.0 * switch)
+            sides.append((np.geomspace(math.nextafter(switch, math.inf), far, 6), past_error))
+        for xs, bound in sides:
+            for x in xs.tolist():
+                exact = float(fpp_pmf_series(beta, x, 0))
+                # the note's figures are rounded from a finer grid
+                assert abs(ml_one(beta, -x) - exact) <= 1.1 * bound, x
 
 
 class TestPrabhakar:
@@ -221,12 +245,12 @@ class TestSeriesRows:
     ])
     def test_rows_equal_the_scalar_loop(self, gamma, alpha, theta):
         # z up to the switch needs rows wider than the first 64 columns
-        switch = _effective_switch(alpha, _DEFAULT_CONTROL)
+        switch = _effective_switch(alpha)
         zs = np.linspace(-switch, 0.5 * switch, 151)
         sums, tops = _series_rows(gamma, alpha, theta, zs)
         for z, total, top in zip(zs.tolist(), sums.tolist(), tops.tolist()):
             try:
-                expected = _prabhakar_series(gamma, alpha, theta, z, _DEFAULT_CONTROL)
+                expected = _prabhakar_series(gamma, alpha, theta, z)
             except EvaluationError:
                 assert math.isnan(total) and math.isnan(top), z
             else:
@@ -246,7 +270,7 @@ class TestSeriesRows:
                 assert math.isnan(total), n
                 continue
             try:
-                expected = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, z, _DEFAULT_CONTROL)
+                expected = _prabhakar_series(n + 1.0, beta, beta * n + 1.0, z)
             except EvaluationError:
                 seen.add("raises")
                 assert math.isnan(total) and math.isnan(top), n
@@ -255,32 +279,24 @@ class TestSeriesRows:
                 assert (repr(total), top) == (repr(expected[0]), expected[1]), n
         assert "sums" in seen and len(seen) > 1, seen
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 0.9, 0.999])
     def test_ml_rows_equal_the_power_series(self, beta):
-        # ml_one's loop has no cancellation guard: rows past the switch
-        # (up to ~250 terms at beta = 1/2) are summed as the loop sums them
-        switch = _effective_switch(beta, _DEFAULT_CONTROL)
-        zs = np.linspace(-1.5 * switch, switch, 151)
-        sums, _ = _series_rows(1.0, beta, 1.0, zs, ml=True)
+        # ml_one's series answers on the whole disk |z| <= switch, where
+        # the rows need up to ~720 terms (beta = 0.1) and none is guarded off
+        switch = _effective_switch(beta)
+        zs = np.linspace(-switch, switch, 151)
+        sums, _ = _series_rows(1.0, beta, 1.0, zs)
         for z, total in zip(zs.tolist(), sums.tolist()):
-            try:
-                expected = _ml_power_series(beta, z, _DEFAULT_CONTROL)
-            except EvaluationError:
-                assert math.isnan(total), z
-            else:
-                assert repr(total) == repr(expected), z
+            assert repr(total) == repr(ml_one(beta, z)), z
 
     def test_rows_the_loop_sums_otherwise_are_nan(self):
         # cancellation guard (the loop raises), lgamma branch (the loop
         # answers by another formula), no stop within max_terms (raises)
         sums, tops = _series_rows(1.0, 0.5, 1.0, [-5.5])
         with pytest.raises(EvaluationError):
-            _prabhakar_series(1.0, 0.5, 1.0, -5.5, _DEFAULT_CONTROL)
+            _prabhakar_series(1.0, 0.5, 1.0, -5.5)
         assert math.isnan(sums[0]) and math.isnan(tops[0])
         assert math.isnan(_series_rows(1.0, 0.5, 170.0, [-1.0])[0][0])
-        with pytest.raises(EvaluationError):
-            _ml_power_series(0.3, -4.0, _DEFAULT_CONTROL)
-        assert math.isnan(_series_rows(1.0, 0.3, 1.0, [-4.0], ml=True)[0][0])
 
 
 class TestWaitingTime:
@@ -292,6 +308,14 @@ class TestWaitingTime:
 
     def test_survival_at_zero(self):
         assert ml_waiting_survival(0.5, 1.0, 0.0) == 1.0
+
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 1: ml_one past its series switch as beta -> 1")
+    def test_survival_near_beta_one_past_the_switch(self):
+        pytest.importorskip("mpmath")
+        # z = 15**0.999 = 14.96, past the switch at 10: off by 3.0e-7
+        exact = float(fpp_pmf_series(0.999, 15.0 ** 0.999, 0))
+        assert abs(ml_waiting_survival(0.999, 1.0, 15.0) - exact) <= 1e-10
 
     @pytest.mark.parametrize(
         "beta, lam, t, expected",
@@ -335,19 +359,3 @@ class TestWaitingTime:
         with pytest.raises(DomainError):
             ml_waiting_pdf(0.5, 1.0, 0.0)
 
-
-class TestSeriesControl:
-    def test_custom_control_accepted(self):
-        ctrl = SeriesControl(max_terms=5000)
-        assert ml_one(0.5, -1.0, ctrl) == pytest.approx(0.4275835761558070, rel=1e-12)
-
-    def test_defaults_sane(self):
-        ctrl = SeriesControl()
-        assert ctrl.max_terms >= 100
-        assert 0.0 < ctrl.abs_tol <= 1e-10
-
-    def test_rejects_bad_fields(self):
-        with pytest.raises(DomainError):
-            SeriesControl(abs_tol=-1.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=3)

@@ -251,7 +251,7 @@ class TestTheorem23:
         # goodness-of-fit case at the reference seed; the exact cases
         # do not depend on the sampler
         monkeypatch.setattr(
-            processes, "sample_ml_waiting",
+            processes, "_ml_batch",
             lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
         )
         report = run_suite("theorem23", 42)
