@@ -519,27 +519,22 @@ def inverse_stable_density(beta, x, t):
     _unit_interval("stability index", beta)
     _positive("state", x)
     _positive("time", t)
-    if beta != 0.5:
-        values, _, kept = _density_talbot(beta, np.array([x], dtype=float), t)
-        if kept[0]:
-            return float(values[0])
-    return inverse_stable_density_quadrature(beta, x, t)
+    if beta == 0.5:
+        return inverse_stable_density_quadrature(beta, x, t)
+    return float(_inverse_stable_density_grid(beta, np.array([x], dtype=float), t)[0][0])
 
 
 def _inverse_stable_density_grid(beta, xs, t):
-    """(inverse_stable_density(beta, x, t), error estimate) at every x > 0
-    of the float array xs.
+    """(h(x, t), error estimate) at every x > 0 of the float array xs.
 
-    One (len(xs) x 60) contour pass; the rows it does not keep are scalar
-    ``inverse_stable_density`` calls.  For beta != 1/2 every row equals
-    the scalar function bit for bit.  At beta = 1/2 the kept rows are the
-    contour sums, which the scalar function does not use there, and only
-    the others take its first-passage quadrature.  The error estimate of
-    a kept row is the spread of its two Talbot rules, 0 for the others.
+    One (len(xs) x 60) contour pass; the rows it does not keep take the
+    first-passage quadrature.  This is ``inverse_stable_density`` row by row,
+    but at beta = 1/2 it keeps contour sums.  A kept row's error estimate is
+    the spread of its two Talbot rules, 0 for the others.
     """
     values, spread, kept = _density_talbot(beta, xs, t)
     for i in np.flatnonzero(~kept).tolist():
-        values[i] = inverse_stable_density(beta, float(xs[i]), t)
+        values[i] = inverse_stable_density_quadrature(beta, float(xs[i]), t)
         spread[i] = 0.0
     return values, spread
 
@@ -588,7 +583,8 @@ def inverse_stable_density_quadrature(beta, x, t):
     raised: where t x**(-1/beta) overflows, and below x t**(-2 beta) =
     10**(-10.8 - 4.2 beta) Gamma(1-beta)**2, 0.5 to 1 decade above where quad
     went wrong against the contour (10**-13.4 at beta = 1/2), in x t**(-2 beta)
-    the same for t from 1e-8 to 1e8."""
+    the same for t from 1e-8 to 1e8.  At t = 1 its error check also raises from
+    x = 3e-4 (beta 0.05), 1e-8 (0.1) and 0.1 (0.99) down."""
     _unit_interval("stability index", beta)
     _positive("state", x)
     _positive("time", t)

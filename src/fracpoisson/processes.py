@@ -14,18 +14,16 @@ Also here: CTRW paths driven by those renewal times, the Bernoulli
 prelimit walk whose law converges to the fractional counting process,
 and grid-path inversion with its left-limit consistency check.
 
-Paths come from one n-path kernel, ``_renewal_paths``: each path makes
-a one-path call's generator calls on its own stream RngStream(seed, i),
-and the math of a round runs in one array pass over up to _PASS_PATHS
-open paths, so no ``--jobs`` split of the ids changes the bytes.
-A second private n-path kernel (``_renewal_counts``) counts many paths
-at one time t in bounded array passes, without building the paths; it
-reads its waits from a callable.  With time-change waits it gives N(t)
-and the CTRW position X(t) (``_timechange_counts``,
-``_ctrw_positions``), with Mittag-Leffler waits the prelimit values
-(``_prelimit_values``, which ``ctrw_prelimit_bernoulli`` runs for one
-path).  Times, horizons, rates and jump data must be finite, else
-DomainError.
+Paths come from one n-path kernel, ``_renewal_paths``, which the
+``simulate_*`` functions run for one path: each path draws on its own
+stream, and a round's math runs in one array pass over up to _PASS_PATHS
+open paths, so no ``--jobs`` split of the ids changes the bytes.  A
+second, ``_renewal_counts``, counts many paths at one time t without
+building them, from waits it reads from a callable: time-change waits
+give N(t) and the CTRW position X(t) (``_timechange_counts``,
+``_ctrw_positions``), Mittag-Leffler waits the prelimit values
+(``_prelimit_values``; ``ctrw_prelimit_bernoulli`` runs one path).
+Times, horizons, rates and jump data must be finite, else DomainError.
 """
 
 from __future__ import annotations
@@ -175,23 +173,17 @@ def simulate_fpp(beta, lam, horizon, rng):
     return _renewal_paths(_fpp_law(beta, lam, horizon), horizon, _generator(rng))[0]
 
 
-def _ml_batch(beta, lam, gen, n):
-    """n waits with ``sample_ml_waiting``'s generator calls and bits; one
-    that overflows is +inf, which the caller checks where it is kept."""
-    return _ml_waits(beta, lam, _ml_draws(gen, beta, n))
-
-
 def _fpp_law(beta, lam, horizon):
     """(draw, advance) of Mittag-Leffler renewal paths; see ``_renewal_paths``."""
     _positive("horizon", horizon)
     _unit_interval("order", beta, closed=True)
     _positive("rate", lam)
 
-    def draw(gen, carry, alone):
-        return (_ml_batch(beta, lam, gen, _BATCH),) if alone else _ml_draws(gen, beta, _BATCH)
+    def draw(gen, carry):
+        return _ml_draws(gen, beta, _BATCH)
 
-    def advance(cols, carry, alone):
-        waits = cols[0] if alone else _ml_waits(beta, lam, cols)
+    def advance(cols, carry):
+        waits = _ml_waits(beta, lam, cols)
         return np.cumsum(np.hstack((carry[:, 1:], waits)), axis=1), carry[:, 0], waits
 
     return draw, advance
@@ -200,24 +192,24 @@ def _fpp_law(beta, lam, horizon):
 def _timechange_law(spec, lam, horizon):
     """(draw, advance) of time-changed paths, jump times D(V_n); see ``_renewal_paths``.
 
-    A row holds the clock's exponentials and the spec's ``_draws``, or
-    the clock and its ``increments`` (TemperedStable's rejection needs
-    each proposal before its next draw).
+    A row holds the clock's exponentials and the spec's ``_draws``, or for
+    a family without ``_scale`` the clock and its ``increments``
+    (TemperedStable's rejection needs each proposal before its next draw).
     """
     _positive("horizon", horizon)
     _positive("rate", lam)
     _require_spec(spec)
     split = hasattr(spec, "_scale")
 
-    def draw(gen, carry, alone):
+    def draw(gen, carry):
         e = gen.standard_exponential(_BATCH)
-        if split and not alone:
+        if split:
             return (e, *spec._draws(gen, _BATCH))
         clock = np.append(carry[0], carry[0] + np.cumsum(e / lam))
         return clock, spec.increments(clock[1:] - clock[:-1], gen)
 
-    def advance(cols, carry, alone):
-        if split and not alone:
+    def advance(cols, carry):
+        if split:
             clock = np.hstack((carry[:, :1], carry[:, :1] + np.cumsum(cols[0] / lam, axis=1)))
             cols = clock, spec._scale(clock[:, 1:] - clock[:, :-1], cols[1:])
         clock, incs = cols
@@ -233,13 +225,11 @@ _PASS_PATHS = 256  # paths per pass of _renewal_paths: bounds its memory
 def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
     """Renewal paths, each up to its first jump past the horizon, in array rounds.
 
-    Path j reads RngStream(rng.seed, ids[j]); without ids one path reads
-    the generator ``rng``.  In a round each open path makes its _BATCH
-    renewals' generator calls, ``draw(gen, carried (clock, jump), alone)``,
-    and ``advance(stacked rows, carried, alone)`` gives the jump times
-    (the carried one first), the clocks to carry and the waits (None: a
-    repair reads the cumsum).  A pass of one path is ``alone``: it draws
-    through the one-row samplers, with the same calls and bits.
+    Path j reads RngStream(rng.seed, ids[j]); without ids one path reads the
+    generator ``rng``.  In a round each open path makes its _BATCH renewals'
+    generator calls, ``draw(gen, carried (clock, jump))``; ``advance(stacked
+    rows, carried)`` gives the jump times (the carried one first), the clocks
+    to carry and the waits (None: a repair reads the cumsum).
     """
     draw, advance = law
     streams = ids is not None
@@ -258,11 +248,10 @@ def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
     while head < len(queue):
         block = queue[head:head + _PASS_PATHS]
         head += len(block)
-        alone = len(block) == 1
-        rows = [draw(enter(j), carry.get(j, (0.0, 0.0)), alone) for j in block]
+        rows = [draw(enter(j), carry.get(j, (0.0, 0.0))) for j in block]
         start = np.array([carry.get(j, (0.0, 0.0)) for j in block])
         with np.errstate(over="ignore"):  # an overflowed jump time is +inf
-            new, clock, waits = advance([np.array(col) for col in zip(*rows)], start, alone)
+            new, clock, waits = advance([np.array(col) for col in zip(*rows)], start)
         for r in np.flatnonzero(~(new[:, 1:] > new[:, :-1]).all(axis=1)).tolist():
             row = new[r]  # a wait below the float spacing was lost: bump
             for k in range(1, _BATCH + 1):
@@ -278,7 +267,7 @@ def _renewal_paths(law, horizon, rng, ids=None, jumps=None):
                 paths[j] = RenewalPath(tuple(got), horizon)
                 continue
             if j != at:  # an open path or a walk replays its round to its stream's end
-                draw(enter(j), carry.get(j, (0.0, 0.0)), alone)
+                draw(enter(j), carry.get(j, (0.0, 0.0)))
             at = j if k > _BATCH else None
             if k > _BATCH:
                 queue.append(j)
@@ -384,7 +373,7 @@ def _prelimit_values(beta, lam, c, t, n, gen):
     _positive("rate", lam)
     _unit_interval("order", beta, closed=True)
     # an infinite wait only closes its path, so N(c t) stays right
-    counts = _renewal_counts(lambda k: _ml_batch(beta, 1.0, gen, k), c * t, n)
+    counts = _renewal_counts(lambda k: _ml_waits(beta, 1.0, _ml_draws(gen, beta, k)), c * t, n)
     return gen.binomial(np.floor(lam * counts).astype(np.int64), c ** (-beta))
 
 

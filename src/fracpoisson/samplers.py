@@ -45,6 +45,7 @@ _MAX_CHUNKS = 2 ** 26  # a tempered call takes fewer rejection chunks: bounds it
 _BLOCK = 32768  # elements per block of the elementwise math: 16k-32k ran fastest
 _STEP_BLOCK = 262144  # normals per block of the running maximum
 _NARROW_BLOCK = 32  # running-max blocks with fewer steps go column by column
+_LOG_BETA = 0.05  # below it sin(pi U)**(1/beta) or W**(1 - 1/beta) can leave the float range
 
 
 @dataclass
@@ -172,9 +173,21 @@ def _kanter(beta, uniforms, exponentials):
     if uniforms.size > _BLOCK:
         return _in_blocks(_kanter, (beta,), uniforms, uniforms, exponentials)
     u = np.multiply(uniforms, math.pi, out=uniforms)
+    if beta >= _LOG_BETA:
+        return _kanter_at(beta, u, exponentials)
+    with np.errstate(all="ignore"):  # redo in logs what leaves the float range
+        a = _kanter_at(beta, u, exponentials)
+        bad = ~((a > 0.0) & (a < math.inf))  # NaN, inf or 0; a true overflow stays +inf
+        u, p = u[bad], 1.0 / beta
+        a[bad] = np.exp(np.log(np.sin(beta * u)) + (p - 1.0) * np.log(np.sin((1.0 - beta) * u))
+                        - p * np.log(np.sin(u)) + (1.0 - p) * np.log(exponentials[bad]))
+    return a
+
+
+def _kanter_at(beta, u, w):
     p = 1.0 / beta
     a = np.sin(beta * u) * np.sin((1.0 - beta) * u) ** (p - 1.0) / np.sin(u) ** p
-    a *= exponentials ** (1.0 - p)
+    a *= w ** (1.0 - p)
     return a
 
 

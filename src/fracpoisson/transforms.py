@@ -32,13 +32,14 @@ Bernstein identity
 
 which exercises the exponent and the tail through independent code paths.
 
-The public ``laplace_invert`` calls its F once per contour node, so F
-need not accept arrays.  The package's own inversions go through
-``_invert_talbot_array`` instead, which evaluates the transform once, on
-the ndarray of Talbot nodes, and turns overflow on the contour into
-EvaluationError.  Every Talbot sum passes one noise guard,
-``_talbot_guard``: it must be finite, and its roundoff must stay below
-1e-6 of its value or below the caller's noise floor.
+Four fixed-Talbot sums share one contour and two weight sets that
+differ in last bits: numpy-exp ``_talbot_rule`` weights
+``_invert_talbot_array`` (``waiting_survival_general``, ``renewal_mean``)
+and ``distributions._general_pmf_rows``; cmath-exp ``_talbot_contour``
+weights ``distributions._density_talbot`` and ``laplace_invert`` (F once
+per node).  The other three take the node array, where overflow fails
+the guard instead of warning.  Every sum passes ``_talbot_guard``: it
+must be finite, with roundoff below 1e-6 of its value or the noise floor.
 """
 
 from __future__ import annotations

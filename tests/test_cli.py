@@ -17,7 +17,7 @@ import pytest
 from fracpoisson.cli import main
 from fracpoisson.distributions import fpp_pmf_mixture
 from fracpoisson.processes import paths_from_csv
-from fracpoisson.samplers import sample_ml_waiting
+from fracpoisson.samplers import _ml_waits
 
 MIXTURE_SPEC = '{"variant": "StableMixture", "weights": [0.5, 0.5], "betas": [0.4, 0.8]}'
 
@@ -182,10 +182,11 @@ class TestCheck:
 
     def test_failing_suite_exit_code(self, monkeypatch, capsys):
         # theorem23 fails by construction when its walks wait with order
-        # 0.45 against the exact law of order 0.5
+        # 0.45 against the exact law of order 0.5 (from draws that make the
+        # same generator calls)
         monkeypatch.setattr(
-            "fracpoisson.processes._ml_batch",
-            lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
+            "fracpoisson.processes._ml_waits",
+            lambda beta, lam, draws: _ml_waits(0.45, lam, draws),
         )
         code, out, _ = run_cli(["check", "--suite", "theorem23", "--seed", "1"],
                                capsys)

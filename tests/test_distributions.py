@@ -8,6 +8,7 @@ stable density and the first-passage scaling relation.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -833,28 +834,35 @@ class TestDensityGrid:
             return None, "disagree"
         return max(v32, 0.0), "kept"
 
+    # sha256 of the scalar values' reprs over GRID x XS, one a line, pinned
+    # from the scalar function that ran a one-row contour of its own
+    SCALAR_DIGEST = "72167e1ce08a15df0039a185ca8b7593d66d532629efa48f13a4fe8e69956914"
+
     def test_rows_equal_the_scalar_function(self, monkeypatch):
-        scalar = distributions.inverse_stable_density
+        quadrature = distributions.inverse_stable_density_quadrature
         fallbacks = []
 
         def counted(beta, x, t):
             fallbacks.append((beta, x, t))
-            return scalar(beta, x, t)
+            return quadrature(beta, x, t)
 
-        monkeypatch.setattr(distributions, "inverse_stable_density", counted)
+        monkeypatch.setattr(distributions, "inverse_stable_density_quadrature", counted)
         grids = {(b, t): distributions._inverse_stable_density_grid(b, self.XS, t) for b, t in self.GRID}
         monkeypatch.undo()
         reasons = {"kept": 0, "disagree": 0, "overflow": 0}
+        scalar = []
         for (beta, t), (values, spread) in grids.items():
             for x, value, err in zip(self.XS.tolist(), values.tolist(), spread.tolist()):
-                assert repr(value) == repr(scalar(beta, x, t)), (beta, x, t)
+                scalar.append(repr(distributions.inverse_stable_density(beta, x, t)))
+                assert repr(value) == scalar[-1], (beta, x, t)
                 why = self._talbot_row(beta, x, t)[1]
                 reasons[why] += 1
                 assert ((beta, x, t) in fallbacks) == (why != "kept"), (beta, x, t)
                 assert err >= 0.0 and (why == "kept" or err == 0.0)
-        # the scalar fallbacks are exactly the far-field and overflow rows
+        # the first-passage fallbacks are exactly the far-field and overflow rows
         assert reasons == {"kept": 974, "disagree": 65, "overflow": 125}
         assert len(fallbacks) == 65 + 125
+        assert hashlib.sha256("\n".join(scalar).encode()).hexdigest() == self.SCALAR_DIGEST
 
     def test_checks_match_talbot_result(self):
         for beta, t in self.GRID:
@@ -1083,6 +1091,15 @@ class TestWorkCounts:
                 distributions._fpp_pmf_mixture_rows(beta, 1.0, t, range(41))
                 assert 1 <= len(passes) <= 3
         assert len(scalar) <= 5
+
+    def test_mixture_rows_off_the_contour_skip_a_second_contour(self, monkeypatch):
+        # at beta = 0.9 the pass hands about a hundred far-field rows to the
+        # first-passage quadrature, each without a one-row contour of its own
+        passes = self._count(monkeypatch, distributions, "_inverse_stable_density_grid")
+        contours = self._count(monkeypatch, distributions, "_density_talbot")
+        handed = self._count(monkeypatch, distributions, "inverse_stable_density_quadrature")
+        distributions._fpp_pmf_mixture_rows(0.9, 1.0, 1.0, range(20))
+        assert len(contours) == len(passes) and len(handed) > 50
 
 
 class TestRenewalMean:

@@ -7,7 +7,6 @@ process-equality statements the samplers implement.
 
 import io
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -212,21 +211,19 @@ class TestSubSpacingWaits:
     def test_fpp(self, monkeypatch):
         waits = np.full(32, 1e-17)
         waits[0], waits[-1] = 1.0, 5.0
-        monkeypatch.setattr(
-            "fracpoisson.processes._ml_batch", lambda *args, **kwargs: waits
-        )
+        monkeypatch.setattr(processes, "_ml_waits", lambda beta, lam, draws: waits[None])
         times = np.asarray(simulate_fpp(0.5, 1.0, 3.0, RngStream(SEED)).jump_times)
         assert len(times) == 32
         assert np.all(np.diff(times) > 0.0)
         assert times[1] == math.nextafter(1.0, math.inf)
 
     def test_timechange(self, monkeypatch):
-        def increments(self, dts, gen):
-            out = np.full(len(dts), 1e-17)
-            out[0], out[-1] = 1.0, 5.0
+        def scale(self, dts, draws):
+            out = np.full(dts.shape, 1e-17)
+            out[:, 0], out[:, -1] = 1.0, 5.0
             return out
 
-        monkeypatch.setattr(Stable, "increments", increments)
+        monkeypatch.setattr(Stable, "_scale", scale)
         path = simulate_timechange_renewal(Stable(0.5), 1.0, 3.0, RngStream(SEED))
         times = np.asarray(path.jump_times)
         assert len(times) == 32
@@ -235,16 +232,14 @@ class TestSubSpacingWaits:
 
     def test_fpp_tie_at_batch_boundary(self, monkeypatch):
         batches = self._boundary_batches()
-        monkeypatch.setattr(
-            "fracpoisson.processes._ml_batch", lambda *args, **kwargs: next(batches)
-        )
+        monkeypatch.setattr(processes, "_ml_waits", lambda beta, lam, draws: next(batches)[None])
         times = simulate_fpp(0.5, 1.0, 8.0, RngStream(SEED)).jump_times
         self._assert_bumped_at_boundary(times)
         assert times[33] == times[32] + 0.1  # the waits go on from the bumped time
 
     def test_timechange_tie_at_batch_boundary(self, monkeypatch):
         batches = self._boundary_batches()
-        monkeypatch.setattr(Stable, "increments", lambda self, dts, gen: next(batches))
+        monkeypatch.setattr(Stable, "_scale", lambda self, dts, draws: next(batches)[None])
         path = simulate_timechange_renewal(Stable(0.5), 1.0, 8.0, RngStream(SEED))
         self._assert_bumped_at_boundary(path.jump_times)
 
@@ -475,16 +470,12 @@ class TestPrelimitBernoulli:
         assert a == b
 
     def test_infinite_waits_only_close_paths(self):
-        # at beta = 0.01 about one wait in 750 is inf, so some of these
-        # 32-wait passes hold one; Kanter's ratio is 0/0 for a few draws there
-        # and warns
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with np.errstate(over="ignore"):
-                hit = sum(bool(np.isinf(_ml_waits(0.01, 1.0, _ml_draws(
-                    RngStream(SEED, 50 + i).generator, 0.01, 32))).any()) for i in range(200))
-            draws = [ctrw_prelimit_bernoulli(0.01, 1.0, 2.0, 1.0, RngStream(SEED, 50 + i))
-                     for i in range(200)]
+        # at beta = 0.01 about one wait in 1000 is inf, so some of these
+        # 32-wait passes hold one; no numpy warning may escape
+        hit = sum(bool(np.isinf(_ml_waits(0.01, 1.0, _ml_draws(
+            RngStream(SEED, 50 + i).generator, 0.01, 32))).any()) for i in range(200))
+        draws = [ctrw_prelimit_bernoulli(0.01, 1.0, 2.0, 1.0, RngStream(SEED, 50 + i))
+                 for i in range(200)]
         assert hit > 0 and all(isinstance(v, int) and v >= 0 for v in draws)
 
     def test_domain_errors(self):

@@ -3,12 +3,14 @@
 ``processes._renewal_paths`` builds the paths of many streams in array
 rounds, path j from RngStream(seed, ids[j]); ``simulate_*`` are its
 one-path calls.  These tests check that the two agree bit for bit where
-the repair of waits below the float spacing runs, that the Kanter math
-runs once per round rather than once per path, and that the CSV writer
-gives the bytes of a row-at-a-time loop.
+the repair of waits below the float spacing runs, that one-path calls
+keep their pinned bytes, that the Kanter math runs once per round rather
+than once per path, and that the CSV writer gives the bytes of a
+row-at-a-time loop.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -28,7 +30,7 @@ from fracpoisson.processes import (
     simulate_timechange_renewal,
 )
 from fracpoisson.samplers import RngStream
-from fracpoisson.transforms import JumpDist, Stable, StableMixture
+from fracpoisson.transforms import JumpDist, Stable, StableMixture, TemperedStable
 
 SEED = 2718
 
@@ -60,7 +62,11 @@ def _kernel(law, horizon, n, jumps=None):
 
 
 class TestSubSpacingRepair:
-    """The per-row ``_next_jump`` repair gives the one-path call's bytes."""
+    """The per-row ``_next_jump`` repair gives the one-path call's bytes.
+
+    A one-path call runs a pass of one row in the same kernel;
+    ``TestOnePathBytes`` pins its bytes on these streams.
+    """
 
     N, HORIZON = 40, 30.0
 
@@ -101,6 +107,64 @@ class TestSubSpacingRepair:
         got = _kernel(processes._timechange_law(spec, lam, self.HORIZON), self.HORIZON, self.N,
                       jumps)
         self._check(got, lambda gen: simulate_ctrw(spec, lam, jumps, self.HORIZON, gen), bumps)
+
+
+def _one_path_streams(part):
+    """The one-path ``simulate_*`` calls of ``part``, in a fixed order.
+
+    Over stream ids 0-39: beta in {0.3, 0.5, 0.8, 1} (fpp) or
+    {0.3, 0.5, 0.8} under Stable, StableMixture and TemperedStable
+    (timechange, ctrw), at (lam, horizon) = (1, 1), which ends most paths
+    in their first round, and (50, 5), which takes several; "subspacing"
+    holds the SubSpacing streams of ``TestSubSpacingRepair``.
+    """
+    jumps = JumpDist(((1.0, 0.5), (-2.0, 0.5)))
+    if part == "subspacing":
+        for i in range(TestSubSpacingRepair.N):
+            lam, horizon = 20.0, TestSubSpacingRepair.HORIZON
+            yield simulate_fpp(0.5, lam, horizon, _stream_gen(i))
+            for spec in (Stable(0.5), StableMixture((1.0,), (0.5,))):
+                yield simulate_timechange_renewal(spec, lam, horizon, _stream_gen(i))
+            yield simulate_ctrw(Stable(0.5), lam, jumps, horizon, _stream_gen(i))
+        return
+    for lam, horizon in ((1.0, 1.0), (50.0, 5.0)):
+        for i in range(40):
+            if part == "fpp":
+                for beta in (0.3, 0.5, 0.8, 1.0):
+                    yield simulate_fpp(beta, lam, horizon, RngStream(SEED, i))
+                continue
+            for beta in (0.3, 0.5, 0.8):
+                for spec in (Stable(beta), StableMixture((0.5, 0.5), (beta, 0.9)),
+                             TemperedStable(beta, 1.0)):
+                    rng = RngStream(SEED, i)
+                    if part == "ctrw":
+                        yield simulate_ctrw(spec, lam, jumps, horizon, rng)
+                    else:
+                        yield simulate_timechange_renewal(spec, lam, horizon, rng)
+
+
+class TestOnePathBytes:
+    """One-path ``simulate_*`` calls keep their bytes.
+
+    The digests (sha256 of the paths' repr strings, one a line) were pinned
+    from the kernel that ran a pass of one path through the one-row
+    samplers, a route apart from the stacked rows of a larger pass; they
+    stand in for that independent route in ``TestSubSpacingRepair``.
+    """
+
+    DIGESTS = {
+        "fpp": "53fbbf6b6c39a9eae386bb236c30b39a5b19d3563ca59d7395c2df082f8ca06b",
+        "timechange": "46cf2e2b5d7cdf4af2b0298c6db80a4440e91516e8eb9847c110a61131ddd9e5",
+        "ctrw": "e0a179b5f7221904a2d317adbd35b98a68c5a07f164ba045abeff250d0a42f4b",
+        "subspacing": "14f1e740ec88c82d3bcfcd4643aed6d245c9473fa162046e6615c62b953bdc60",
+    }
+
+    @pytest.mark.parametrize("part", sorted(DIGESTS))
+    def test_digest(self, part):
+        digest = hashlib.sha256()
+        for path in _one_path_streams(part):
+            digest.update(repr(path).encode() + b"\n")
+        assert digest.hexdigest() == self.DIGESTS[part]
 
 
 def _sample(argv):

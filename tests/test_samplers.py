@@ -8,6 +8,7 @@ checked exactly by replaying the same counter-based stream.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,30 @@ class TestStableUnit:
     def test_positive(self):
         draws = sample_stable_unit(0.3, RngStream(SEED, 12), size=10_000)
         assert np.all(draws > 0.0)
+
+    def test_small_beta_out_of_range_factors(self):
+        # at beta = 0.01, sin(pi U)**100 and W**-99 leave the float range for
+        # about one draw in 900; the others keep the direct formula's bits
+        beta, n = 0.01, 300_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_stable_unit(beta, RngStream(SEED, 13), size=n)
+        u, w = samplers._kanter_draws(RngStream(SEED, 13).generator, n)
+        with np.errstate(all="ignore"):
+            direct = [
+                np.sin(beta * x) * np.sin((1.0 - beta) * x) ** (1.0 / beta - 1.0)
+                / np.sin(x) ** (1.0 / beta) * y ** (1.0 - 1.0 / beta)
+                for x, y in ((u * math.pi, w), (np.longdouble(u * math.pi), np.longdouble(w)))
+            ]
+        kept = (direct[0] > 0.0) & (direct[0] < math.inf)
+        assert not np.isnan(draws).any()
+        assert np.array_equal(draws[kept], direct[0][kept])
+        redone = ~kept & np.isfinite(draws)
+        assert (~kept).sum() > 200 and redone.sum() > 50
+        if np.finfo(np.longdouble).maxexp > 1024:  # the redone entries against extended range
+            np.testing.assert_allclose(draws[redone], direct[1][redone].astype(float), rtol=1e-9)
+        laplace = np.exp(-draws)  # a draw that really overflows is +inf and counts as 0
+        assert abs(laplace.mean() - math.exp(-1.0)) <= 5.0 * laplace.std() / math.sqrt(n)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1.5])
     def test_bad_beta(self, beta):

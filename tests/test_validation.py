@@ -16,7 +16,7 @@ from scipy import stats
 
 from fracpoisson import processes, validation
 from fracpoisson.errors import DomainError
-from fracpoisson.samplers import sample_ml_waiting
+from fracpoisson.samplers import _ml_waits
 from fracpoisson.transforms import DistributedOrder, Stable, StableMixture, TemperedStable
 from fracpoisson.validation import (
     SUITE_NAMES,
@@ -249,10 +249,10 @@ class TestTheorem23:
     def test_fails_with_wrong_waiting_order(self, monkeypatch):
         # power: order-0.45 waits behind the order-0.5 law fail every
         # goodness-of-fit case at the reference seed; the exact cases
-        # do not depend on the sampler
+        # do not depend on the sampler (its order-0.5 draws make the same
+        # generator calls)
         monkeypatch.setattr(
-            processes, "_ml_batch",
-            lambda beta, lam, rng, size=None: sample_ml_waiting(0.45, lam, rng, size),
+            processes, "_ml_waits", lambda beta, lam, draws: _ml_waits(0.45, lam, draws)
         )
         report = run_suite("theorem23", 42)
         assert {c.name for c in report.cases if not c.passed} == {
