@@ -13,10 +13,14 @@ IID draws as an ndarray.  Parameters are finite and sizes integers, else
 DomainError.  The source may be an ``RngStream`` or any
 ``numpy.random.Generator``.
 
-A bulk draw holds its draw arrays plus one block of ``_BLOCK`` elements'
-temporaries, and its result overwrites a draw array.  A scale that
-overflows a float (``lam**(-1/beta)``, ``dt**(1/beta)``) or a tempered
-call of ``_MAX_CHUNKS`` or more rejection chunks raises SamplingError.
+A bulk draw draws its leading arrays whole and its last stream one block
+of ``_BLOCK`` elements at a time, running that block's math before the
+next block is drawn; it holds one draw array less than it has streams,
+plus one block of temporaries, and its result overwrites a draw array.
+A scale that overflows a float (``lam**(-1/beta)``, ``dt**(1/beta)``), a
+Mittag-Leffler wait that does, or a tempered call of ``_MAX_CHUNKS`` or
+more rejection chunks raises SamplingError; a stable draw that really
+overflows is +inf, with no warning.
 """
 
 from __future__ import annotations
@@ -97,13 +101,9 @@ def _generator(rng):
     raise DomainError(f"rng must be an RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def _in_blocks(f, head, out, *cols):
-    """Write ``f(*head, *blocks of cols)`` over ``out``; all C-contiguous, of one shape."""
-    flat, cols = out.reshape(-1), [c.reshape(-1) for c in cols]
-    for i in range(0, flat.size, _BLOCK):
-        s = slice(i, i + _BLOCK)
-        flat[s] = f(*head, *(c[s] for c in cols))
-    return flat.reshape(out.shape)
+def _blocks(n):
+    """Slices of ``range(n)``, ``_BLOCK`` elements each but the last."""
+    return [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
 
 
 def _power(name, x, p):
@@ -135,32 +135,25 @@ def _uniform_open(gen, n):
 def _tilted(gen, n, a, propose, what):
     """n draws of the proposal law tilted by exp(-a x), by rejection.
 
-    Each round calls ``propose(pending)`` with the indices of the k
-    pending draws first, then draws k uniforms; a proposal x is kept with
-    probability exp(-a x).
+    Each round calls ``propose(k, pending)`` for the k pending draws, with
+    their indices (None in the first round, which proposes all n into the
+    result), then draws k uniforms one block at a time; a proposal x is
+    kept with probability exp(-a x).
     """
-    out = np.empty(n)
-    pending = np.arange(n)
+    out = pending = None
     for _ in range(_MAX_REJECTION_ROUNDS):
-        k = pending.size
-        if k == 0:
-            break
-        x = propose(pending)
-        accept = gen.random(k) < np.exp(-a * x) if k <= _BLOCK else _accepts(a, gen.random(k), x)
-        out[pending[accept]] = x[accept]
-        pending = pending[~accept]
-    if pending.size:
-        raise SamplingError(
-            f"{what} rejection did not terminate within the iteration cap"
-        )
-    return out
-
-
-def _accepts(a, r, x):
-    """``_tilted``'s accept test r < exp(-a x) past one block, one block at a time."""
-    if r.size > _BLOCK:
-        return _in_blocks(_accepts, (a,), np.empty(r.size, bool), r, x)
-    return r < np.exp(-a * x)
+        x = propose(n if pending is None else pending.size, pending)
+        accept = np.empty(x.size, bool)
+        for s in _blocks(x.size):
+            accept[s] = gen.random(accept[s].size) < np.exp(-a * x[s])
+        if pending is None:
+            out, pending = x, np.flatnonzero(~accept)
+        else:  # compress: a boolean index is about 4x slower on a mask this random
+            out[pending.compress(accept)] = x.compress(accept)
+            pending = pending.compress(~accept)
+        if not pending.size:
+            return out
+    raise SamplingError(f"{what} rejection did not terminate within the iteration cap")
 
 
 def _kanter_draws(gen, n):
@@ -169,30 +162,50 @@ def _kanter_draws(gen, n):
 
 
 def _kanter(beta, uniforms, exponentials):
-    """Kanter's D(1) from ``_kanter_draws``' arrays or stacked rows; past a block, over them."""
-    if uniforms.size > _BLOCK:
-        return _in_blocks(_kanter, (beta,), uniforms, uniforms, exponentials)
+    """Kanter's D(1) from ``_kanter_draws``' arrays or stacked rows of a block at most.
+
+    Writes pi U over ``uniforms``, which ``_ml_waits`` reads.
+    """
     u = np.multiply(uniforms, math.pi, out=uniforms)
     if beta >= _LOG_BETA:
         return _kanter_at(beta, u, exponentials)
     with np.errstate(all="ignore"):  # redo in logs what leaves the float range
         a = _kanter_at(beta, u, exponentials)
-        bad = ~((a > 0.0) & (a < math.inf))  # NaN, inf or 0; a true overflow stays +inf
-        u, p = u[bad], 1.0 / beta
-        a[bad] = np.exp(np.log(np.sin(beta * u)) + (p - 1.0) * np.log(np.sin((1.0 - beta) * u))
-                        - p * np.log(np.sin(u)) + (1.0 - p) * np.log(exponentials[bad]))
+        bad = _out_of_range(a)
+        a[bad] = np.exp(_log_kanter(beta, u[bad], exponentials[bad]))
     return a
+
+
+def _out_of_range(x):
+    """Where x is NaN, +-inf or 0; a true overflow stays +inf when redone."""
+    return ~((x > 0.0) & (x < math.inf))
+
+
+def _log_kanter(beta, u, w):
+    """log D(1) from pi U and W: Kanter's formula in logs."""
+    p = 1.0 / beta
+    return (np.log(np.sin(beta * u)) + (p - 1.0) * np.log(np.sin((1.0 - beta) * u))
+            - p * np.log(np.sin(u)) + (1.0 - p) * np.log(w))
 
 
 def _kanter_at(beta, u, w):
     p = 1.0 / beta
-    a = np.sin(beta * u) * np.sin((1.0 - beta) * u) ** (p - 1.0) / np.sin(u) ** p
+    a = np.sin(beta * u)
+    if beta == 0.5:  # (1 - beta) u is then the same float as beta u, and x**1.0 is x
+        a *= a
+    else:
+        a *= np.sin((1.0 - beta) * u) ** (p - 1.0)
+    a /= np.sin(u) ** p
     a *= w ** (1.0 - p)
     return a
 
 
 def _stable_unit(gen, beta, n):
-    return _kanter(beta, *_kanter_draws(gen, n))
+    """n draws of D(1): the uniforms whole, then per block the exponentials and the math."""
+    u = _uniform_open(gen, n)
+    for s in _blocks(n):
+        u[s] = _kanter(beta, u[s], gen.standard_exponential(u[s].size))
+    return u
 
 
 def sample_stable_unit(beta, rng, size=None):
@@ -216,7 +229,8 @@ def sample_stable_increment(beta, dt, rng, size=None):
     _unit_interval("stability index", beta)
     gen = _generator(rng)
     draws = _stable_unit(gen, beta, _draws(size))
-    draws *= _power("increment length", dt, 1.0 / beta)
+    with np.errstate(over="ignore"):  # a draw that really overflows is +inf
+        draws *= _power("increment length", dt, 1.0 / beta)
     return _pack(draws, size)
 
 
@@ -229,8 +243,7 @@ def sample_ml_waiting(beta, lam, rng, size=None):
     """
     _unit_interval("order", beta, closed=True)
     _positive("rate", lam)
-    gen = _generator(rng)
-    waits = _ml_waits(beta, lam, _ml_draws(gen, beta, _draws(size)))
+    waits = _ml_bulk(_generator(rng), beta, lam, _draws(size))
     if not np.isfinite(waits).all():
         raise SamplingError(f"Mittag-Leffler waits overflow a float at beta={beta!r}, "
                             f"lam={lam!r}: raise the rate")
@@ -243,11 +256,22 @@ def _ml_draws(gen, beta, n):
     return (w,) if beta == 1.0 else (w, *_kanter_draws(gen, n))
 
 
-def _ml_waits(beta, lam, draws):
-    """Mittag-Leffler waits from the arrays ``_ml_draws`` returns, written over the first.
+def _ml_bulk(gen, beta, lam, n):
+    """n Mittag-Leffler waits: W and U drawn whole, then per block E and the waits, over W."""
+    if beta == 1.0:
+        return _ml_waits(beta, lam, _ml_draws(gen, beta, n))
+    w, u = gen.standard_exponential(n), _uniform_open(gen, n)
+    for s in _blocks(max(n, 1)):  # one call even at n = 0: it checks the scale
+        _ml_waits(beta, lam, (w[s], u[s], gen.standard_exponential(u[s].size)))
+    return w
 
-    A wait that overflows is +inf, with no warning: the callers check it
-    or reject it.
+
+def _ml_waits(beta, lam, draws):
+    """Mittag-Leffler waits from ``_ml_draws``' arrays, or stacked rows of a block at most.
+
+    The waits are written over the first array.  A wait that overflows is
+    +inf, with no warning: the callers check it or reject it.  Below
+    ``_LOG_BETA`` the waits that come out NaN, inf or 0 are redone in logs.
     """
     w = draws[0]
     with np.errstate(over="ignore"):
@@ -256,9 +280,17 @@ def _ml_waits(beta, lam, draws):
         scale = _power("rate", lam, -1.0 / beta)
         # D(1) first, while only the draws are held; each product commutes bit for bit
         d = _kanter(beta, *draws[1:])
-        w **= 1.0 / beta
-        w *= scale
-        w *= d
+        if beta >= _LOG_BETA:
+            w **= 1.0 / beta
+            w *= scale
+            w *= d
+            return w
+    with np.errstate(all="ignore"):  # redo in logs what leaves the float range
+        j = w ** (1.0 / beta) * scale * d
+        bad = _out_of_range(j)
+        j[bad] = np.exp((np.log(w[bad]) - math.log(lam)) / beta  # draws[1] now holds pi U
+                        + _log_kanter(beta, draws[1][bad], draws[2][bad]))
+    w[...] = j
     return w
 
 
@@ -275,9 +307,9 @@ def _tempered_stable(gen, beta, a, dts):
                             "chunks in one call: lower the size, the duration or the tempering")
     scales = np.repeat((dts / chunks) ** (1.0 / beta), chunks.astype(np.intp))
 
-    def propose(pending):  # _stable_unit, less a call frame per rejection round
-        x = _kanter(beta, *_kanter_draws(gen, pending.size))
-        x *= scales[pending]
+    def propose(k, pending):
+        x = _stable_unit(gen, beta, k)
+        x *= scales if pending is None else scales[pending]
         return x
 
     out = _tilted(gen, scales.size, a, propose, "tempered-stable")
@@ -322,7 +354,7 @@ def sample_tempered_ml_waiting(beta, a, lam, rng, size=None):
         )
     _power("lam - a**beta", eta, -1.0 / beta)  # the proposals' scale
     gen = _generator(rng)
-    propose = lambda pending: _ml_waits(beta, eta, _ml_draws(gen, beta, pending.size))  # noqa: E731
+    propose = lambda k, pending: _ml_bulk(gen, beta, eta, k)  # noqa: E731
     return _pack(_tilted(gen, _draws(size), a, propose, "tempered waiting-time"), size)
 
 
@@ -360,11 +392,12 @@ def sample_brownian_running_max(t, n_steps, rng, size=None):
     std = math.sqrt(2.0 * t / n_steps)
     level = np.zeros(n)
     best = np.zeros(n)  # running max includes B(0) = 0
-    steps_per_block = max(1, _STEP_BLOCK // max(n, 1))
+    steps_per_block = min(max(1, _STEP_BLOCK // max(n, 1)), n_steps)
+    buf = np.empty(n * steps_per_block)  # every block's normals, in turn
     done = 0
     while done < n_steps:
         nb = min(steps_per_block, n_steps - done)
-        inc = gen.standard_normal((n, nb))
+        inc = gen.standard_normal(out=buf[:n * nb].reshape(n, nb))
         inc *= std
         if nb < _NARROW_BLOCK:
             # per-row cumsum/max calls cost more than the few additions in a
@@ -378,7 +411,7 @@ def sample_brownian_running_max(t, n_steps, rng, size=None):
             np.cumsum(inc, axis=1, out=inc)
             inc += level[:, None]
             np.maximum(best, inc.max(axis=1), out=best)
-        level = inc[:, -1].copy()
+        level[:] = inc[:, -1]
         done += nb
     return _pack(best, size)
 

@@ -58,7 +58,7 @@ from scipy.special import gammaincc, gammaln
 
 from .errors import DomainError, EvaluationError, UnsupportedSamplingError
 from .errors import _count, _nonnegative, _positive, _unit_interval
-from .samplers import _kanter, _kanter_draws, _tempered_stable
+from .samplers import _kanter, _kanter_draws, _stable_unit, _tempered_stable
 
 __all__ = [
     "Stable",
@@ -181,7 +181,9 @@ class Stable:
         return d
 
     def increments(self, dts, gen):
-        return self._scale(dts, self._draws(gen, len(dts)))
+        d = _stable_unit(gen, self.beta, len(dts))
+        d *= dts ** (1.0 / self.beta)
+        return d
 
 
 @dataclass(frozen=True)
@@ -259,17 +261,22 @@ class StableMixture:
         return sum((_kanter_draws(gen, n) for _ in self.betas), ())
 
     def _scale(self, dts, draws):
+        return self._scaled(dts, (_kanter(b, *draws[2 * i:2 * i + 2])
+                                  for i, b in enumerate(self.betas)))
+
+    def increments(self, dts, gen):
+        # component by component: each D_i(1) is drawn as its term is added
+        return self._scaled(dts, (_stable_unit(gen, b, len(dts)) for b in self.betas))
+
+    def _scaled(self, dts, units):
         # D(t) = sum_i w_i**(1/beta_i) D_i(t) with independent stable parts:
         # E[exp(-s dt)] = prod_i exp(-dt (w_i**(1/b_i) s)**b_i)
         #              = exp(-dt sum_i w_i s**b_i)
         total = np.zeros(dts.shape)
-        for i, (w, b) in enumerate(zip(self.weights, self.betas)):
-            d = _kanter(b, *draws[2 * i:2 * i + 2])
+        for w, b, d in zip(self.weights, self.betas, units):
             d *= w ** (1.0 / b) * dts ** (1.0 / b)
             total += d
         return total
-
-    increments = Stable.increments
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ maximum digests by the one that took ``cumsum`` and ``max`` over every
 block's rows, however narrow (``theorem51`` is re-pinned for its
 n-path time-change kernel, which reads the stream in another order);
 the bulk draw digests by the samplers that evaluated their elementwise
-math over the whole array at once; the series value digests by the
-implementation that summed ``ml_one``'s power series in a loop of its
-own, apart from the Prabhakar loop.
+math over the whole array at once; the stream digests by the samplers
+that drew every generator stream whole before any math; the series
+value digests by the implementation that summed ``ml_one``'s power
+series in a loop of its own, apart from the Prabhakar loop.
 The values that come from the package's own Laplace inversions (three
 ``FPP_PMF_FAR`` rows, the ``pmf --spec`` tables and the ``theorem31``,
 ``theorem41`` and ``distributed`` reports) are pinned from the array
@@ -234,6 +235,33 @@ BULK_DRAW_DIGESTS = [
 ]
 
 
+# sizes of the stream digests: one draw, one short of a kernel batch, one
+# block of the samplers' math, one past it, and three blocks and more
+STREAM_SIZES = (1, 31, 32768, 32769, 100_000)
+STREAM_BETAS = (0.02, 0.3, 0.5, 0.7, 0.99)
+
+# (sampler, its argument tuples before the source, sha256 over the draws'
+# bytes and the generator's final state of each tuple at each of
+# STREAM_SIZES, tuple i at size k reading seed-42 stream 10 i + k);
+# beta < 0.05 is left out of sample_ml_waiting, whose waits there are
+# redone in logs where the direct product leaves the float range
+STREAM_DIGESTS = [
+    ("sample_stable_unit", [(b,) for b in STREAM_BETAS],
+     "54a9e1bb107ad7021cebc1695d040a8c798c497724d8827a428ea74fcf175dba"),
+    ("sample_stable_increment", [(b, 0.5) for b in STREAM_BETAS],
+     "d57b3fe378a9cac8ad71d5af3e159165dc65b1875383d93c31c8b945625e2108"),
+    ("sample_inverse_stable_marginal", [(b, 1.5) for b in STREAM_BETAS],
+     "55137e4a3cc2783ea01b582e08306824da45f6dd0e7bbbe8cfd3c8ea6a11e17c"),
+    ("sample_ml_waiting", [(b, 1.5) for b in STREAM_BETAS[1:]],
+     "a92407fb19ebbd7d51f2a13b18866c21397e7e882e916f8b4bebe58cc6cfeb92"),
+    ("sample_tempered_ml_waiting", [(b, 1.0, 2.0) for b in STREAM_BETAS],
+     "dda36f1aafd298be0f9e34995d37cef092528a09b8c49b632313c72d9b94599f"),
+    ("sample_tempered_stable_increment", [(b, 1.0, 2.0) for b in STREAM_BETAS],
+     "086b3abf2c706964be40674b74fd6413c3212c1f8f3a0bf5ff67a1b10844df0e"),
+    ("sample_brownian_running_max", [(1.0, 3), (1.0, 40)],
+     "5efb7c420f121f675904ab094f15e8e1bea7877dbe63659278a1f9873a806589"),
+]
+
 # (beta, its series switch): the series digests below evaluate at z on
 # both sides of each switch, positive z included
 SERIES_SWITCHES = [
@@ -384,6 +412,7 @@ def test_running_max_digest(t, n_steps, stream_id, size, digest):
 
 def test_bulk_sizes_straddle_the_block():
     assert BULK_SIZES[2] == samplers._BLOCK
+    assert STREAM_SIZES[2:4] == (samplers._BLOCK, samplers._BLOCK + 1)
 
 
 @pytest.mark.parametrize("j", range(len(BULK_DRAW_DIGESTS)),
@@ -393,6 +422,27 @@ def test_bulk_draw_digest(j, k):
     name, args, digests = BULK_DRAW_DIGESTS[j]
     draws = getattr(fp, name)(*args, RngStream(42, j), size=BULK_SIZES[k])
     assert hashlib.sha256(draws.tobytes()).hexdigest() == digests[k]
+
+
+def _state_bytes(gen):
+    state = gen.bit_generator.state
+    return b"".join((state["state"]["counter"].tobytes(), state["state"]["key"].tobytes(),
+                     state["buffer"].tobytes(),
+                     repr((state["buffer_pos"], state["has_uint32"], state["uinteger"])).encode()))
+
+
+@pytest.mark.parametrize("name, params, digest", STREAM_DIGESTS,
+                         ids=[row[0] for row in STREAM_DIGESTS])
+def test_stream_digest(name, params, digest):
+    # the draws and where each call leaves its generator: a sampler that
+    # draws its streams in pieces must make the same generator calls
+    sha = hashlib.sha256()
+    for i, args in enumerate(params):
+        for k, n in enumerate(STREAM_SIZES):
+            rng = RngStream(42, 10 * i + k)
+            sha.update(getattr(fp, name)(*args, rng, size=n).tobytes())
+            sha.update(_state_bytes(rng.generator))
+    assert sha.hexdigest() == digest
 
 
 @pytest.mark.parametrize("values, count, digest", SERIES_VALUE_DIGESTS,

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracpoisson import samplers
+from fracpoisson import processes, samplers
 from fracpoisson.errors import DomainError, SamplingError, UnsupportedSamplingError
 from fracpoisson.samplers import (
     RngStream,
@@ -164,6 +164,18 @@ class TestStableIncrement:
         unit = sample_stable_unit(beta, RngStream(SEED, 13), size=1000)
         np.testing.assert_allclose(inc, dt ** (1.0 / beta) * unit, rtol=1e-15)
 
+    def test_overflow_is_inf_without_warning(self):
+        # at beta = 0.02 the scale 2.0**50 takes a few finite unit draws past
+        # the float range: those increments are +inf, as an overflowing unit draw is
+        beta, dt, n = 0.02, 2.0, 10 ** 6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_stable_increment(beta, dt, RngStream(0, 1), size=n)
+        unit = sample_stable_unit(beta, RngStream(0, 1), size=n)
+        assert (np.isinf(draws) & np.isfinite(unit)).any()
+        with np.errstate(over="ignore"):
+            assert np.array_equal(draws, unit * dt ** (1.0 / beta))
+
     def test_laplace_transform(self):
         beta, dt = 0.5, 2.0
         draws = sample_stable_increment(beta, dt, RngStream(SEED, 14), size=200_000)
@@ -205,6 +217,35 @@ class TestMlWaiting:
         small = float(np.mean(draws[:1000]))
         big = float(np.mean(draws))
         assert big > small  # heavier and heavier excursions keep arriving
+
+    @pytest.mark.parametrize("beta", [0.01, 0.005])
+    def test_small_beta_out_of_range_products(self, beta):
+        # lam**(-1/beta) W**(1/beta) D(1) over- or underflows, or is 0 * inf,
+        # for about one wait in 500 at beta = 0.01 and one in 15 at 0.005;
+        # those are redone in logs, the others keep the direct product's bits
+        n, lam = 300_000, 1.5
+        w, u, e = samplers._ml_draws(RngStream(SEED, 19).generator, beta, n)
+        x = u * math.pi
+        with np.errstate(all="ignore"):
+            direct = w ** (1.0 / beta) * lam ** (-1.0 / beta) * samplers._kanter(beta, u.copy(), e)
+            p, (xl, wl, el) = 1.0 / beta, (np.longdouble(v) for v in (x, w, e))
+            extended = (lam ** -np.longdouble(p) * wl ** p * np.sin(beta * xl)
+                        * np.sin((1.0 - beta) * xl) ** (p - 1.0) / np.sin(xl) ** p
+                        * el ** (1.0 - p)).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            waits = samplers._ml_waits(beta, lam, (w, u, e))
+        kept = (direct > 0.0) & (direct < math.inf)
+        assert not np.isnan(waits).any()
+        assert np.array_equal(waits[kept], direct[kept])
+        redone = ~kept & (waits > 0.0) & (waits < math.inf)
+        assert (~kept).sum() > 500 and redone.sum() > 100
+        if np.finfo(np.longdouble).maxexp > 1024:  # against extended range, true inf and 0 too
+            np.testing.assert_allclose(waits[~kept], extended[~kept], rtol=1e-9, atol=1e-323)
+        laplace = np.exp(-waits)  # E[exp(-J)] = lam / (lam + 1)
+        assert abs(laplace.mean() - lam / (lam + 1.0)) <= 5.0 * laplace.std() / math.sqrt(n)
+        with pytest.raises(SamplingError):  # some waits really overflow
+            sample_ml_waiting(beta, lam, RngStream(SEED, 19), size=n)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -417,18 +458,26 @@ class TestBrownianRunningMax:
 
 
 class TestBlocks:
-    """The elementwise math runs in blocks written over the draw arrays."""
+    """The last stream is drawn and its math run one block at a time, over a draw array."""
 
-    # (sampler, its arguments before the source, the draw arrays it holds)
+    # (sampler, its arguments before the source, the arrays of n floats it
+    # holds: its leading draw arrays, for the tempered samplers the
+    # rejection's bookkeeping and its two chunks per draw, and for the
+    # running maximum its level, its best and a block of one normal per path)
     BULK = [
-        (sample_ml_waiting, (0.6, 1.0), 3),
-        (sample_inverse_stable_marginal, (0.7, 1.0), 2),
-        (sample_stable_increment, (0.6, 2.0), 2),
+        (sample_ml_waiting, (0.6, 1.0), 2),
+        (sample_inverse_stable_marginal, (0.7, 1.0), 1),
+        (sample_stable_increment, (0.6, 2.0), 1),
+        (sample_tempered_ml_waiting, (0.5, 1.0, 2.0), 3),
+        (sample_tempered_stable_increment, (0.5, 1.0, 2.0), 12),
+        (sample_brownian_running_max, (1.0, 4), 3),
     ]
 
     @pytest.mark.parametrize("sampler, args, arrays", BULK, ids=[f.__name__ for f, _, _ in BULK])
     def test_bulk_draw_holds_its_draws_and_a_few_blocks(self, sampler, args, arrays):
-        # whole-array math held three or four more arrays of n temporaries
+        # whole streams held one more array of n draws (three more for the
+        # tempered waits), whole-array math three or four more, and the
+        # running maximum a second block and a second level
         n = 10 ** 6
         tracemalloc.start()
         try:
@@ -439,14 +488,15 @@ class TestBlocks:
         assert peak <= 8 * (arrays * n + 6 * samplers._BLOCK)
 
     def test_stacked_rows_are_the_rows(self):
-        # the n-path kernel hands _kanter 2-d stacked rows; past one block
-        # they are blocked over the flat array
-        shape = (3, samplers._BLOCK // 2 + 5)
+        # the n-path kernel hands _kanter 2-d stacked rows, one row of
+        # renewals per open path of a pass: within one block
+        shape = (processes._PASS_PATHS, processes._BATCH)
+        assert shape[0] * shape[1] <= samplers._BLOCK
         u, e = (x.reshape(shape) for x in samplers._kanter_draws(
             RngStream(SEED, 41).generator, shape[0] * shape[1]))
         rows = [samplers._kanter(0.6, u[i].copy(), e[i]) for i in range(shape[0])]
         stacked = samplers._kanter(0.6, u, e)
-        assert stacked.shape == shape and np.shares_memory(stacked, u)
+        assert stacked.shape == shape
         assert stacked.tobytes() == np.concatenate(rows).tobytes()
 
 
