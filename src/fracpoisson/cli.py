@@ -11,7 +11,7 @@ Exit codes: 0 success (for ``check``: every case passed), 1 runtime or
 numerical failure, 2 usage or domain error.  Every stochastic command
 requires ``--seed`` and is bit-reproducible given its command line; path
 generation parallelizes over RngStream ids, so ``--jobs`` never changes
-the output.
+the output; it runs at most one worker per block of paths and per CPU.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -92,7 +93,10 @@ def cmd_sample(args):
     else:  # a block of consecutive stream ids per worker
         size = -(-args.paths // jobs)
         blocks = [base + (indices[k:k + size],) for k in range(0, args.paths, size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at once: no more than blocks or CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(len(blocks), cpus or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             paths = [path for got in pool.map(_sample_chunk, blocks) for path in got]
 
     header = {"process": args.process, "lambda": args.lam, "horizon": args.horizon,

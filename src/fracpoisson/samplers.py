@@ -4,8 +4,9 @@ Covers one-sided stable subordinators (Kanter's representation),
 exponentially tempered variants (per-chunk rejection, one pass over the
 chunks of every requested increment per call), Mittag-Leffler
 and tempered Mittag-Leffler waiting times, inverse-subordinator
-marginals, Brownian running maxima, and multi-point subordinator
-evaluation by independent-increment composition.
+marginals, exact Brownian running maxima (one bridge-maximum draw, at
+any step count), and multi-point subordinator evaluation by
+independent-increment composition.
 
 Every sampler takes the random source last and accepts an optional
 ``size``: ``size=None`` returns one float, an integer returns that many
@@ -20,7 +21,8 @@ plus one block of temporaries, and its result overwrites a draw array.
 A scale that overflows a float (``lam**(-1/beta)``, ``dt**(1/beta)``), a
 Mittag-Leffler wait that does, or a tempered call of ``_MAX_CHUNKS`` or
 more rejection chunks raises SamplingError; a stable draw that really
-overflows is +inf, with no warning.
+overflows is +inf, with no warning, and an inverse-stable marginal whose
+t / D(1) overflows is redone in logs.
 """
 
 from __future__ import annotations
@@ -47,8 +49,6 @@ __all__ = [
 _MAX_REJECTION_ROUNDS = 10 ** 6
 _MAX_CHUNKS = 2 ** 26  # a tempered call takes fewer rejection chunks: bounds its memory
 _BLOCK = 32768  # elements per block of the elementwise math: 16k-32k ran fastest
-_STEP_BLOCK = 262144  # normals per block of the running maximum
-_NARROW_BLOCK = 32  # running-max blocks with fewer steps go column by column
 _LOG_BETA = 0.05  # below it sin(pi U)**(1/beta) or W**(1 - 1/beta) can leave the float range
 
 
@@ -362,6 +362,7 @@ def sample_inverse_stable_marginal(beta, t, rng, size=None):
     """Draw from the law of the inverse subordinator E(t) at fixed t.
 
     Uses the marginal identity E(t) =_d (t / D(1))**beta; t = 0 gives 0.
+    Where t / D(1) overflows a float the draw is exp(beta (log t - log D(1))).
     """
     _unit_interval("stability index", beta)
     _nonnegative("time", t)
@@ -370,50 +371,42 @@ def sample_inverse_stable_marginal(beta, t, rng, size=None):
     if t == 0.0:
         return _pack(np.zeros(n), size)
     draws = _stable_unit(gen, beta, n)
-    np.divide(t, draws, out=draws)
-    draws **= beta
+    with np.errstate(over="ignore"):  # a draw that really overflows is +inf
+        for s in _blocks(n):
+            d = draws[s]
+            e = np.divide(t, d)
+            over = e == math.inf  # t / D leaves the float range: redo in logs
+            e **= beta
+            e[over] = np.exp(beta * (math.log(t) - np.log(d[over])))
+            d[...] = e
     return _pack(draws, size)
 
 
 def sample_brownian_running_max(t, n_steps, rng, size=None):
     """Draw max{B(r) : 0 <= r <= t} for Brownian motion with Var B(t) = 2t.
 
-    Euler grid maximum over ``n_steps`` uniform steps.  The grid max is
-    downward-biased by O(sqrt(t / n_steps)) because excursions between
-    grid points are missed; tests against reflection-principle values
-    must budget for this bias.
+    Exact in one step (Glasserman 2004, section 6.4): given B(t) = b the
+    maximum M has P(M > m) = exp(-m (m - b) / t), so with B(t) = sqrt(2t) Z
+    and E unit exponential, M = sqrt(2t) [max(Z, 0) + E / (sqrt(Z**2 + 2E) + |Z|)].
+    Every finite t >= 0 gives finite draws >= 0.  ``n_steps`` is checked but
+    does not change the draws: the law is the same at every step count.
     """
-    n_steps = _count("step count", n_steps, least=1)
+    _count("step count", n_steps, least=1)
     _nonnegative("time", t)
     gen = _generator(rng)
     n = _draws(size)
     if t == 0.0:
         return _pack(np.zeros(n), size)
-    std = math.sqrt(2.0 * t / n_steps)
-    level = np.zeros(n)
-    best = np.zeros(n)  # running max includes B(0) = 0
-    steps_per_block = min(max(1, _STEP_BLOCK // max(n, 1)), n_steps)
-    buf = np.empty(n * steps_per_block)  # every block's normals, in turn
-    done = 0
-    while done < n_steps:
-        nb = min(steps_per_block, n_steps - done)
-        inc = gen.standard_normal(out=buf[:n * nb].reshape(n, nb))
-        inc *= std
-        if nb < _NARROW_BLOCK:
-            # per-row cumsum/max calls cost more than the few additions in a
-            # narrow row; whole columns make the same additions in the same order
-            for j in range(1, nb):
-                inc[:, j] += inc[:, j - 1]
-            inc += level[:, None]
-            for j in range(nb):
-                np.maximum(best, inc[:, j], out=best)
-        else:
-            np.cumsum(inc, axis=1, out=inc)
-            inc += level[:, None]
-            np.maximum(best, inc.max(axis=1), out=best)
-        level[:] = inc[:, -1]
-        done += nb
-    return _pack(best, size)
+    scale = math.sqrt(2.0) * math.sqrt(t)  # sqrt(2t) without 2t, which can overflow
+    draws = gen.standard_normal(n)
+    for s in _blocks(n):
+        z = draws[s]
+        e = gen.standard_exponential(z.size)
+        e /= np.sqrt(z * z + 2.0 * e) + np.abs(z)
+        np.maximum(z, 0.0, out=z)
+        z += e
+        z *= scale
+    return _pack(draws, size)
 
 
 def sample_subordinator_at(spec, times, rng, size=None):

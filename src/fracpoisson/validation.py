@@ -335,7 +335,7 @@ def _suite_theorem32(seed, base):
     cases = [_case("halforder_density_lattice", worst, 1e-6)]
     n = 100_000
     a = sample_inverse_stable_marginal(0.5, 1.0, RngStream(seed, base), size=n)
-    b = sample_brownian_running_max(1.0, 10_000, RngStream(seed, base + 1), size=n)
+    b = sample_brownian_running_max(1.0, 1, RngStream(seed, base + 1), size=n)
     res = ks_two_sample(a, b)
     cases.append(_case("ks_runningmax_p", res.p_value, 0.01, higher_passes=True))
     return cases

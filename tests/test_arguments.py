@@ -11,6 +11,7 @@ treated as errors.  A completeness check keeps the table in step with
 import contextlib
 import math
 import signal
+import sys
 import threading
 import warnings
 
@@ -299,6 +300,13 @@ UNSAMPLABLE = [
     ("simulate_fpp", (0.1, 1e-30, 1e300, RngStream(1))),
 ]
 
+# valid sampler calls at the edge of the domain, whose draws are finite and
+# nonnegative; 2t overflowed, and each gave NaN with a RuntimeWarning
+FINITE_DRAWS = [
+    ("sample_brownian_running_max", (1e308, 4, RngStream(1), 3)),
+    ("sample_brownian_running_max", (sys.float_info.max, 4, RngStream(1), 3)),
+]
+
 
 @contextlib.contextmanager
 def _strict(seconds=20):
@@ -364,6 +372,14 @@ def test_unevaluable_call_raises_evaluation_error(name, args):
 def test_unsamplable_call_raises_sampling_error(name, args):
     with _strict(), pytest.raises(SamplingError):
         getattr(fp, name)(*args)
+
+
+@pytest.mark.parametrize("name, args", FINITE_DRAWS,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(FINITE_DRAWS)])
+def test_edge_draws_are_finite(name, args):
+    with _strict():
+        draws = getattr(fp, name)(*args)
+    assert np.all((draws >= 0.0) & (draws < INF))
 
 
 @pytest.mark.parametrize(

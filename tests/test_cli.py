@@ -282,6 +282,33 @@ class TestSample:
         _, parallel, _ = run_cli(base + ["--jobs", "3"], capsys)
         assert serial == parallel
 
+    def test_workers_are_capped_by_blocks_and_cpus(self, monkeypatch, capsys):
+        # a fork pool starts every worker up front: --jobs 100000 forked 100000
+        # processes for two paths.  An in-process pool records the count instead
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("fracpoisson.cli.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        base = ["sample", "--process", "fpp", "--beta", "0.5", "--lambda", "1",
+                "--horizon", "3", "--seed", "13", "--jobs"]
+        _, serial, _ = run_cli(base + ["1", "--paths", "2"], capsys)
+        _, two_blocks, _ = run_cli(base + ["100000", "--paths", "2"], capsys)
+        run_cli(base + ["100000", "--paths", "9"], capsys)
+        assert two_blocks == serial
+        assert started == [2, 3]  # two blocks; nine blocks on three CPUs
+
     def test_timechange_spec(self, capsys):
         code, out, _ = run_cli(
             ["sample", "--process", "timechange", "--spec",

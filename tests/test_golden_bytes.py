@@ -183,10 +183,10 @@ SUITE_DIGESTS = [
 ]
 
 # (t, n_steps, stream_id, size, sha256) of the seed-42 running maxima's bytes:
-# 1e5 paths take 2 steps per block, 1000 paths take the 1000 steps at once
+# 1e5 paths take four blocks of exponentials, 1000 paths one
 RUNNING_MAX_DIGESTS = [
-    (1.0, 40, 0, 100_000, "37da591f0f20d2985dffc0e131bcdf67ed938d8717b54f0ca7deaecab19a38a9"),
-    (1.0, 1000, 1, 1000, "7e46a0c9ab69f9f7405aae3c40dc40af9b76e353e55e32c688401eb82d060c4a"),
+    (1.0, 40, 0, 100_000, "8c9eea30331f5e3065a10c859dd573d74394d9de564c9051119982929180b768"),
+    (1.0, 1000, 1, 1000, "0a691e70cc4d296b38ff8f7dc82258ad04db4f94a45b56d556adf7bfc916b52d"),
 ]
 
 # sizes of the bulk draws: one draw, one kernel batch, exactly one block
@@ -259,7 +259,7 @@ STREAM_DIGESTS = [
     ("sample_tempered_stable_increment", [(b, 1.0, 2.0) for b in STREAM_BETAS],
      "086b3abf2c706964be40674b74fd6413c3212c1f8f3a0bf5ff67a1b10844df0e"),
     ("sample_brownian_running_max", [(1.0, 3), (1.0, 40)],
-     "5efb7c420f121f675904ab094f15e8e1bea7877dbe63659278a1f9873a806589"),
+     "844506d4b1e2b1dcfca3763f4b25aa78df09cf1e8fe1e80123b7357c92c6a99e"),
 ]
 
 # (beta, its series switch): the series digests below evaluate at z on
@@ -404,7 +404,7 @@ def test_suite_report_digest(suite, digest, tmp_path):
 
 
 @pytest.mark.parametrize("t, n_steps, stream_id, size, digest", RUNNING_MAX_DIGESTS,
-                         ids=["narrow-blocks", "wide-block"])
+                         ids=["blocks", "one-block"])
 def test_running_max_digest(t, n_steps, stream_id, size, digest):
     draws = sample_brownian_running_max(t, n_steps, RngStream(42, stream_id), size=size)
     assert hashlib.sha256(draws.tobytes()).hexdigest() == digest

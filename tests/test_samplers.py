@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from fracpoisson import processes, samplers
 from fracpoisson.errors import DomainError, SamplingError, UnsupportedSamplingError
@@ -411,6 +412,22 @@ class TestInverseStableMarginal:
         se2 = float(np.std(sq, ddof=1)) / math.sqrt(n)
         assert abs(float(np.mean(sq)) - m2) <= 4.0 * se2
 
+    def test_overflowing_ratio_is_taken_in_logs(self):
+        # t / D(1) overflows for about a third of these draws, (t / D(1))**beta for
+        # none: those are exp(beta (log t - log D(1))), and the rest keep their bits
+        beta, t, n = 0.3, 1e308, 100_000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = sample_inverse_stable_marginal(beta, t, RngStream(1), size=n)
+        unit = sample_stable_unit(beta, RngStream(1), size=n)
+        with np.errstate(over="ignore"):
+            direct = (t / unit) ** beta
+        over = np.isinf(direct)
+        assert over.sum() > n // 4 and np.isfinite(draws).all()
+        assert np.array_equal(draws[~over], direct[~over])
+        np.testing.assert_allclose(draws[over], np.exp(beta * (math.log(t) - np.log(unit[over]))),
+                                   rtol=1e-15)
+
     def test_zero_time(self):
         vals = sample_inverse_stable_marginal(0.5, 0.0, RngStream(SEED), size=5)
         np.testing.assert_array_equal(vals, np.zeros(5))
@@ -423,26 +440,17 @@ class TestInverseStableMarginal:
 
 
 class TestBrownianRunningMax:
-    def test_mean_within_bias_band(self):
-        # M(t) = |B(t)| in law, E = 2 sqrt(t/pi); the grid max is downward
-        # biased by about 0.5826 sqrt(2 t / n_steps)
-        t, n_steps, n = 1.0, 4096, 20_000
-        draws = sample_brownian_running_max(t, n_steps, RngStream(SEED, 25), size=n)
-        exact = 2.0 * math.sqrt(t / math.pi)
-        bias = 0.5826 * math.sqrt(2.0 * t / n_steps)
-        se = float(np.std(draws, ddof=1)) / math.sqrt(n)
-        mean = float(np.mean(draws))
-        assert mean <= exact + 4.0 * se
-        assert mean >= exact - 2.5 * bias - 4.0 * se
+    @pytest.mark.parametrize("t, stream_id", [(1.0, 25), (40.0, 26)])
+    def test_exact_reflection_law(self, t, stream_id):
+        # M(t) = |B(t)| in law: P(M <= x) = erf(x / (2 sqrt(t))) at one step
+        draws = sample_brownian_running_max(t, 1, RngStream(SEED, stream_id), size=50_000)
+        assert stats.kstest(draws / (2.0 * math.sqrt(t)), special.erf).pvalue > 0.01
 
-    def test_reflection_law_with_fine_grid(self):
-        # against |N(0, 2t)| draws; fine grid keeps the bias inside the
-        # KS tolerance at this sample size
-        t, n = 2.0, 20_000
-        draws = sample_brownian_running_max(t, 20_000, RngStream(SEED, 26), size=n)
-        z = np.random.default_rng(SEED + 1).standard_normal(n)
-        reference = np.abs(math.sqrt(2.0 * t) * z)
-        assert ks_two_sample(draws, reference).p_value > 0.01
+    def test_steps_do_not_change_the_draws(self):
+        # the law has no step count, and neither have the draws
+        draws = [sample_brownian_running_max(1.0, k, RngStream(SEED, 27), size=1000).tobytes()
+                 for k in (1, 40, 10_000, 10 ** 12)]
+        assert draws.count(draws[0]) == 4
 
     def test_nonnegative_and_zero_time(self):
         draws = sample_brownian_running_max(1.0, 64, RngStream(SEED, 27), size=1000)
@@ -461,23 +469,21 @@ class TestBlocks:
     """The last stream is drawn and its math run one block at a time, over a draw array."""
 
     # (sampler, its arguments before the source, the arrays of n floats it
-    # holds: its leading draw arrays, for the tempered samplers the
-    # rejection's bookkeeping and its two chunks per draw, and for the
-    # running maximum its level, its best and a block of one normal per path)
+    # holds: its leading draw arrays, and for the tempered samplers the
+    # rejection's bookkeeping and its two chunks per draw)
     BULK = [
         (sample_ml_waiting, (0.6, 1.0), 2),
         (sample_inverse_stable_marginal, (0.7, 1.0), 1),
         (sample_stable_increment, (0.6, 2.0), 1),
         (sample_tempered_ml_waiting, (0.5, 1.0, 2.0), 3),
         (sample_tempered_stable_increment, (0.5, 1.0, 2.0), 12),
-        (sample_brownian_running_max, (1.0, 4), 3),
+        (sample_brownian_running_max, (1.0, 4), 1),
     ]
 
     @pytest.mark.parametrize("sampler, args, arrays", BULK, ids=[f.__name__ for f, _, _ in BULK])
     def test_bulk_draw_holds_its_draws_and_a_few_blocks(self, sampler, args, arrays):
         # whole streams held one more array of n draws (three more for the
-        # tempered waits), whole-array math three or four more, and the
-        # running maximum a second block and a second level
+        # tempered waits) and whole-array math three or four more
         n = 10 ** 6
         tracemalloc.start()
         try:
